@@ -18,7 +18,6 @@ from .bundles import (
     cone_grading,
     direct_sum,
     equivariant_chern_data,
-    eval_filtration,
     is_vector_bundle,
     line_bundle,
     normalize_filtration,

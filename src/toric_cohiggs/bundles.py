@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InternalError
@@ -62,7 +63,7 @@ class Filtration:
         if self.r > 0 and steps[0][1].is_full():
             raise ValueError("the first step subspace must be proper")
 
-    @property
+    @cached_property
     def thresholds(self) -> tuple[int, ...]:
         return tuple(j for j, _ in self.steps)
 
@@ -108,11 +109,6 @@ def normalize_filtration(r: int, raw_steps: Iterable[tuple[int, Subspace]]) -> F
     if not cleaned[-1][1].is_zero():
         cleaned.append((cleaned[-1][0] + 1, Subspace.zero(r)))
     return Filtration(r, tuple(cleaned))
-
-
-def eval_filtration(filt: Filtration, i: int) -> Subspace:
-    """Module-level alias for ``Filtration.at``."""
-    return filt.at(i)
 
 
 @dataclass(frozen=True)
@@ -232,20 +228,18 @@ class OracleVerdict:
     reason: str | None = None
 
 
-def _grid_axes(filts: Sequence[Filtration], extra_below: bool = True) -> list[list[int]]:
-    axes = []
-    for f in filts:
-        ts = list(f.thresholds)
-        axes.append(([ts[0] - 1] if extra_below else []) + ts)
-    return axes
-
-
 class _LevelCache:
-    """Memoized F(levels) = ∩_k filt_k(levels_k) for one cone."""
+    """Memoized F(levels) = ∩_k filt_k(levels_k) for one cone.
+
+    A grading piece can only sit where every level is a threshold of its
+    filtration: elsewhere one axis has filt_k(l) = filt_k(l + 1), so F equals
+    a summand of F_+.  The walks therefore visit the threshold grid only.
+    """
 
     def __init__(self, filts: Sequence[Filtration], r: int):
         self.filts = filts
-        self.r = r
+        self.axes = [f.thresholds for f in filts]
+        self.zero = Subspace.zero(r)
         self.cache: dict[tuple[int, ...], Subspace] = {(): Subspace.full(r)}
 
     def value(self, levels: tuple[int, ...]) -> Subspace:
@@ -257,6 +251,20 @@ class _LevelCache:
         out = intersect(prefix, self.filts[k].at(levels[k]))
         self.cache[levels] = out
         return out
+
+    def value_and_above(self, levels: tuple[int, ...]) -> tuple[Subspace, Subspace]:
+        """F(levels) and F_+(levels), the sum of the values one step up each axis.
+
+        Any adapted grading has dim F - dim F_+ vectors of character
+        ``levels``: the forced multiplicity.
+        """
+        here = self.value(levels)
+        if here.is_zero():
+            return here, here
+        ups = (
+            self.value(levels[:k] + (lv + 1,) + levels[k + 1:]) for k, lv in enumerate(levels)
+        )
+        return here, subspace_sum(self.zero, *ups)
 
 
 def _descending_grid(
@@ -280,16 +288,9 @@ def _greedy_pieces(
     tie_break: Callable | None,
 ) -> dict[tuple[int, ...], Subspace]:
     cache = _LevelCache(filts, r)
-    axes = _grid_axes(filts, extra_below=True)
     pieces: dict[tuple[int, ...], Subspace] = {}
-    for levels in _descending_grid(axes, tie_break):
-        f_here = cache.value(levels)
-        if f_here.is_zero():
-            continue
-        f_above = Subspace.zero(r)
-        for k in range(len(levels)):
-            bumped = levels[:k] + (levels[k] + 1,) + levels[k + 1:]
-            f_above = subspace_sum(f_above, cache.value(bumped))
+    for levels in _descending_grid(cache.axes, tie_break):
+        f_here, f_above = cache.value_and_above(levels)
         if f_above == f_here:
             continue
         piece = complement_within(f_above, f_here)
@@ -305,10 +306,9 @@ def _verify_pieces(
     pieces: Mapping[tuple[int, ...], Subspace],
 ) -> str | None:
     """First failed grading identity, or None when all hold."""
+    zero = Subspace.zero(r)
     total = sum(p.dim for p in pieces.values())
-    span = Subspace.zero(r)
-    for p in pieces.values():
-        span = subspace_sum(span, p)
+    span = subspace_sum(zero, *pieces.values())
     if span.dim != total:
         return (
             f"candidate pieces are not jointly independent: dimensions sum to "
@@ -319,10 +319,9 @@ def _verify_pieces(
     for k, (filt, ray_idx) in enumerate(zip(filts, ray_indices)):
         levels_to_check = list(filt.thresholds) + [filt.thresholds[-1] + 1]
         for i in levels_to_check:
-            rebuilt = Subspace.zero(r)
-            for levels, piece in pieces.items():
-                if levels[k] >= i:
-                    rebuilt = subspace_sum(rebuilt, piece)
+            rebuilt = subspace_sum(
+                zero, *(piece for levels, piece in pieces.items() if levels[k] >= i)
+            )
             expected = filt.at(i)
             if rebuilt != expected:
                 return (
@@ -346,16 +345,9 @@ def adapted_basis_oracle(v: TVB, sigma: Cone) -> OracleVerdict:
     filts = [v.filts[i] for i in sigma.ray_indices]
     r = v.r
     cache = _LevelCache(filts, r)
-    axes = _grid_axes(filts, extra_below=False)
     mult: dict[tuple[int, ...], int] = {}
-    for levels in itertools.product(*axes):
-        f_here = cache.value(levels)
-        if f_here.is_zero():
-            continue
-        f_above = Subspace.zero(r)
-        for k in range(len(levels)):
-            bumped = levels[:k] + (levels[k] + 1,) + levels[k + 1:]
-            f_above = subspace_sum(f_above, cache.value(bumped))
+    for levels in itertools.product(*cache.axes):
+        f_here, f_above = cache.value_and_above(levels)
         m = f_here.dim - f_above.dim
         if m > 0:
             mult[levels] = m
@@ -378,9 +370,7 @@ def adapted_basis_oracle(v: TVB, sigma: Cone) -> OracleVerdict:
     for size in range(1, len(support) + 1):
         for subset in itertools.combinations(support, size):
             need = sum(m for _, m in subset)
-            span = Subspace.zero(r)
-            for levels, _ in subset:
-                span = subspace_sum(span, cache.value(levels))
+            span = subspace_sum(*(cache.value(levels) for levels, _ in subset))
             if span.dim < need:
                 return OracleVerdict(
                     False,

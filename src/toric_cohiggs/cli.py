@@ -22,6 +22,7 @@ from .bundles import (
     TVB,
     equivariant_chern_data,
     is_vector_bundle,
+    normalize_filtration,
     tangent_bundle,
 )
 from .cohiggs import (
@@ -112,8 +113,6 @@ def three_lines_bundle() -> TVB:
     """Rank 2 on the single cone spanned by e1,e2,e3; three distinct lines."""
     fan = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (Cone((0, 1, 2)),))
     lines = [Subspace(2, [(1, 0)]), Subspace(2, [(0, 1)]), Subspace(2, [(1, 1)])]
-    from .bundles import normalize_filtration
-
     filts = tuple(
         normalize_filtration(2, [(0, line), (1, Subspace.zero(2))]) for line in lines
     )

@@ -225,7 +225,11 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Mat.identity(ambient_dim).rows)
+        """The whole of Q^n: one shared instance per n, since subspaces are immutable."""
+        got = _FULL_SPACES.get(ambient_dim)
+        if got is None:
+            got = _FULL_SPACES[ambient_dim] = cls(ambient_dim, Mat.identity(ambient_dim).rows)
+        return got
 
     @property
     def dim(self) -> int:
@@ -284,6 +288,9 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}: {rows})"
 
 
+_FULL_SPACES: dict[int, Subspace] = {}
+
+
 def kernel(m: Mat) -> Subspace:
     """Canonical basis of the right kernel {x : m x = 0} in Q^ncols."""
     reduced, pivots = _rref_rows(m.rows)
@@ -323,10 +330,13 @@ def intersect(s: Subspace, t: Subspace) -> Subspace:
     return Subspace(s.ambient_dim, vectors)
 
 
-def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
-    """Canonical basis of s + t."""
-    s._same_ambient(t)
-    return Subspace(s.ambient_dim, list(s.basis) + list(t.basis))
+def subspace_sum(s: Subspace, *more: Subspace) -> Subspace:
+    """Canonical basis of s + t + ..., reduced in one elimination."""
+    rows = list(s.basis)
+    for t in more:
+        s._same_ambient(t)
+        rows.extend(t.basis)
+    return Subspace(s.ambient_dim, rows)
 
 
 def complement_within(s: Subspace, t: Subspace) -> Subspace:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 from .bundles import (
@@ -26,7 +27,6 @@ from .bundles import (
     normalize_filtration,
 )
 from .cohiggs import (
-    ChartExpansion,
     ClassificationReport,
     FieldVerdict,
     IntegrabilityVerdict,
@@ -43,13 +43,21 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def sha256_of_obj(obj) -> str:
-    return hashlib.sha256(dumps_canonical(obj).encode()).hexdigest()
-
-
 def _expect(cond: bool, msg: str):
     if not cond:
         raise SchemaError(msg)
+
+
+def _is_int(x) -> bool:
+    """A JSON integer; Python counts bools as ints, the schemas do not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _rat(a) -> Fraction:
+    """A JSON integer or "p/q" string; a JSON float is not an exact rational."""
+    _expect(_is_int(a) or isinstance(a, str),
+            f"entry {a!r} is not an integer or a 'p/q' string")
+    return rat_from_str(str(a))
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +71,7 @@ def mat_from_obj(obj, nrows: int | None = None, ncols: int | None = None) -> Mat
     _expect(isinstance(obj, list) and all(isinstance(r, list) for r in obj),
             "matrix must be a list of rows")
     try:
-        rows = [[rat_from_str(str(a)) for a in r] for r in obj]
+        rows = [[_rat(a) for a in r] for r in obj]
         m = Mat(rows, ncols=ncols if not rows else None)
     except ValueError as exc:
         raise SchemaError(f"bad matrix: {exc}") from exc
@@ -94,20 +102,20 @@ def fan_from_obj(obj) -> Fan:
     for key in ("n", "rays", "max_cones"):
         _expect(key in obj, f"fan object lacks key {key!r}")
     n = obj["n"]
-    _expect(isinstance(n, int) and n >= 0, "fan rank must be a nonnegative integer")
+    _expect(_is_int(n) and n >= 0, "fan 'n' must be a nonnegative integer")
     rays = obj["rays"]
     _expect(isinstance(rays, list), "rays must be a list")
     parsed_rays = []
     for r in rays:
-        _expect(isinstance(r, list) and all(isinstance(a, int) for a in r),
-                "each ray must be a list of integers")
+        _expect(isinstance(r, list) and all(_is_int(a) for a in r),
+                f"each of 'rays' must be a list of integers, got {r!r}")
         parsed_rays.append(tuple(r))
     cones = obj["max_cones"]
     _expect(isinstance(cones, list) and cones, "max_cones must be a nonempty list")
     parsed_cones = []
     for c in cones:
-        _expect(isinstance(c, list) and all(isinstance(i, int) for i in c),
-                "each maximal cone must be a list of ray indices")
+        _expect(isinstance(c, list) and all(_is_int(i) for i in c),
+                f"each of 'max_cones' must be a list of ray indices, got {c!r}")
         _expect(all(0 <= i < len(parsed_rays) for i in c),
                 f"cone {c} has a ray index out of range")
         try:
@@ -145,7 +153,7 @@ def bundle_from_obj(obj, base_dir: Path | None = None) -> TVB:
     else:
         fan = fan_from_obj(fan_spec)
     rank = obj["rank"]
-    _expect(isinstance(rank, int) and rank >= 1, "rank must be a positive integer")
+    _expect(_is_int(rank) and rank >= 1, "'rank' must be a positive integer")
     filt_objs = obj["filtrations"]
     _expect(isinstance(filt_objs, list), "filtrations must be a list")
     by_ray: dict[int, Filtration] = {}
@@ -153,7 +161,8 @@ def bundle_from_obj(obj, base_dir: Path | None = None) -> TVB:
         _expect(isinstance(fo, dict) and "ray" in fo and "steps" in fo,
                 "each filtration needs 'ray' and 'steps'")
         ray = fo["ray"]
-        _expect(isinstance(ray, int) and 0 <= ray < len(fan.rays),
+        _expect(_is_int(ray), f"filtration 'ray' must be an integer, got {ray!r}")
+        _expect(0 <= ray < len(fan.rays),
                 f"filtration ray index {ray} out of range")
         _expect(ray not in by_ray, f"two filtrations for ray {ray}")
         steps = []
@@ -162,10 +171,13 @@ def bundle_from_obj(obj, base_dir: Path | None = None) -> TVB:
         for so in fo["steps"]:
             _expect(isinstance(so, dict) and "j" in so and "basis" in so,
                     "each step needs 'j' and 'basis'")
-            _expect(isinstance(so["j"], int), "step threshold must be an integer")
-            _expect(isinstance(so["basis"], list), "step basis must be a list")
+            _expect(_is_int(so["j"]),
+                    f"step threshold 'j' must be an integer, got {so['j']!r}")
+            _expect(isinstance(so["basis"], list)
+                    and all(isinstance(row, list) for row in so["basis"]),
+                    "step basis must be a list of rows")
             try:
-                vectors = [[rat_from_str(str(a)) for a in row] for row in so["basis"]]
+                vectors = [[_rat(a) for a in row] for row in so["basis"]]
                 sub = Subspace(rank, vectors)
             except ValueError as exc:
                 raise SchemaError(f"bad step basis for ray {ray}: {exc}") from exc
@@ -226,10 +238,6 @@ def _load_json(path: Path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def load_fan(path) -> Fan:
-    return fan_from_obj(_load_json(Path(path)))
 
 
 def load_bundle(path) -> TVB:
@@ -309,15 +317,6 @@ def integrability_to_obj(verdict: IntegrabilityVerdict) -> dict:
         cone, k, l = verdict.first_failure
         out["first_failure"] = {"cone": cone, "chart_pair": [k, l]}
     return out
-
-
-def chart_expansion_to_obj(exp: ChartExpansion) -> dict:
-    return {
-        "cone": list(exp.cone.ray_indices),
-        "terms": [
-            {"u": list(u), "matrix": mat_to_obj(m)} for u, m in exp.terms
-        ],
-    }
 
 
 def classification_to_obj(report: ClassificationReport) -> dict:

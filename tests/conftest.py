@@ -22,21 +22,13 @@ from toric_cohiggs import (
     normalize_filtration,
     tangent_bundle,
 )
+from toric_cohiggs.cli import three_lines_bundle  # noqa: F401  (re-exported to the tests)
 
 
 def standard_cone_fan(n: int) -> Fan:
     """Single-cone fan on the standard basis; legal because completeness is not required."""
     rays = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     return Fan(n, rays, (Cone(tuple(range(n))),))
-
-
-def three_lines_bundle() -> TVB:
-    fan = standard_cone_fan(3)
-    lines = [Subspace(2, [(1, 0)]), Subspace(2, [(0, 1)]), Subspace(2, [(1, 1)])]
-    filts = tuple(
-        normalize_filtration(2, [(0, line), (1, Subspace.zero(2))]) for line in lines
-    )
-    return TVB(fan, 2, filts)
 
 
 @pytest.fixture(scope="session")

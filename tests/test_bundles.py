@@ -17,7 +17,6 @@ from toric_cohiggs import (
     cone_grading,
     direct_sum,
     equivariant_chern_data,
-    eval_filtration,
     fan_pn,
     fan_product,
     is_vector_bundle,
@@ -90,11 +89,25 @@ def test_normalize_rejects_non_monotone():
 def test_eval_filtration_semantics():
     line = Subspace(2, [(1, 0)])
     f = normalize_filtration(2, [(0, line), (1, Subspace.zero(2))])
-    assert eval_filtration(f, -10**6).is_full()
-    assert eval_filtration(f, 0).is_full()
-    assert eval_filtration(f, 1) == line
-    assert eval_filtration(f, 2).is_zero()
-    assert eval_filtration(f, 10**6).is_zero()
+    assert f.at(-10**6).is_full()
+    assert f.at(0).is_full()
+    assert f.at(1) == line
+    assert f.at(2).is_zero()
+    assert f.at(10**6).is_zero()
+
+
+def test_walk_asks_for_no_level_below_first_threshold(monkeypatch):
+    asked = []
+    at = Filtration.at
+
+    def recording_at(self, i):
+        asked.append((self.thresholds[0], i))
+        return at(self, i)
+
+    monkeypatch.setattr(Filtration, "at", recording_at)
+    assert is_vector_bundle(tangent_bundle(fan_pn(4))).compatible
+    assert asked
+    assert all(i >= first for first, i in asked)
 
 
 def test_tangent_filtration_value_at_one_is_ray_line(fan_zoo):

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,47 @@ def test_invalid_fan_in_bundle_exits_1(tmp_path, run_cli):
     r = run_cli(["check", str(bad)], tmp_path)
     assert r.returncode == 1
     assert "primitive" in r.stderr
+
+
+def _set_first_basis(o, basis):
+    o["filtrations"][0]["steps"][0]["basis"] = basis
+
+
+def _set_first_matrix_entry_to_float(o):
+    m = o["tuple"][0]
+    m[0][0] = float(Fraction(m[0][0]))
+
+
+@pytest.mark.parametrize(
+    "kind, breakage, field",
+    [
+        # 1e300 and 0.5 span the same line as the original basis vector (1, 0)
+        ("tangent", lambda o: _set_first_basis(o, [[1e300, 0]]), "basis"),
+        ("tangent", lambda o: _set_first_basis(o, [[0.5, 0]]), "basis"),
+        ("tangent", lambda o: o["filtrations"][0]["steps"][0].update(j=False), "'j'"),
+        ("tangent", lambda o: o["fan"]["rays"].__setitem__(0, [True, False]), "'rays'"),
+        ("tangent", lambda o: o.update(rank=True), "'rank'"),
+        ("tangent", lambda o: o["fan"].update(n=True), "'n'"),
+        ("tangent", lambda o: o["filtrations"][1].update(ray=True), "'ray'"),
+        ("tangent", lambda o: o["fan"]["max_cones"].__setitem__(0, [False, True]),
+         "'max_cones'"),
+        ("canonical", _set_first_matrix_entry_to_float, "matrix"),
+    ],
+    ids=["basis-1e300", "basis-0.5", "j-false", "ray-coords-bool", "rank-true",
+         "n-true", "ray-index-true", "cone-index-bool", "tuple-float"],
+)
+def test_floats_and_bools_are_not_schema_numbers(
+    tmp_path, run_cli, make_fixture, kind, breakage, field
+):
+    verb = "check" if kind == "tangent" else "validate-field"
+    path = make_fixture([kind, "--variety", "pn", "--dim", "2"], tmp_path)
+    assert run_cli([verb, str(path)], tmp_path).returncode == 0
+    obj = json.loads(path.read_text())
+    breakage(obj)
+    path.write_text(json.dumps(obj))
+    r = run_cli([verb, str(path)], tmp_path)
+    assert r.returncode == 1
+    assert field in r.stderr
 
 
 def test_example_bad_dim_exits_1(tmp_path, run_cli):

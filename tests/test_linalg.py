@@ -109,6 +109,13 @@ def test_sum_with_zero_and_axes():
     assert subspace_sum(s, Subspace(2, [(0, 1)])).is_full()
 
 
+def test_full_space_is_one_shared_canonical_instance():
+    for r in range(5):
+        assert Subspace.full(r) is Subspace.full(r)
+        identity = [[int(i == j) for j in range(r)] for i in range(r)]
+        assert Subspace.full(r) == Subspace(r, identity)
+
+
 def test_modular_dimension_law_on_random_pairs():
     rng = random.Random(11)
     for _ in range(200):
@@ -129,6 +136,7 @@ def test_intersect_sum_commutative_associative():
         assert subspace_sum(s, t) == subspace_sum(t, s)
         assert intersect(intersect(s, t), u) == intersect(s, intersect(t, u))
         assert subspace_sum(subspace_sum(s, t), u) == subspace_sum(s, subspace_sum(t, u))
+        assert subspace_sum(s, t, u) == subspace_sum(subspace_sum(s, t), u)
 
 
 def test_intersection_members_lie_in_both():

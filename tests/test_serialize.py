@@ -111,6 +111,8 @@ def test_mat_from_obj_validates_shape():
         lambda o: o["filtrations"][0]["steps"][0].update(j="zero"),
         lambda o: o["fan"].update(max_cones=[]),
         lambda o: o["fan"].update(max_cones=[[0, 7]]),
+        # a string row would otherwise be read digit by digit, as (1, 0)
+        lambda o: o["filtrations"][0]["steps"][0].update(basis=["10"]),
     ],
 )
 def test_bundle_schema_violations_raise(bundle_zoo, breakage):

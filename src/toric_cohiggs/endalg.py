@@ -6,6 +6,11 @@ module computes a canonical basis of that algebra, its center and structure
 constants, and the bilinear equations cutting out commuting n-tuples of its
 elements (the classification datum for invariant co-Higgs fields).
 
+The basis is a reduced row echelon basis in Q^(r²), so an element's
+coordinates are its entries at the basis pivots.  Each algebra computes its
+structure tensor once; commutativity, the center and the tuple equations all
+derive from its antisymmetrised forms.
+
 The algebra is handled as a linear solution space, not as its unit group:
 invertibility is an open condition on top of the linear data and is reported,
 never enforced.
@@ -15,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .bundles import TVB
 from .errors import InternalError
-from .linalg import (
+# solve_linear is re-exported: the benchmark's trace wraps endalg.solve_linear.
+from .linalg import (  # noqa: F401
     Mat,
     Subspace,
-    commutator,
     kernel,
     solve_linear,
     solve_mat_constraints,
@@ -47,6 +53,26 @@ class FilteredEndAlgebra:
                 out = out + a.scale(c)
         return out
 
+    @cached_property
+    def structure(self) -> "StructureConstants":
+        """The structure tensor, computed once and shared by every derived datum."""
+        return structure_constants(self)
+
+    @cached_property
+    def commutator_forms(self) -> tuple[Mat, ...]:
+        """The nonzero forms B_k with [x·A, y·A] = sum_k B_k(x, y) A_k.
+
+        B_k[a][b] = c[a][b][k] - c[b][a][k], from the structure tensor.
+        """
+        c, d = self.structure.c, self.dim
+        forms = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+        for a in range(d):
+            for b in range(a):
+                if c[a][b] != c[b][a]:
+                    for k, (x, y) in enumerate(zip(c[a][b], c[b][a])):
+                        forms[k][a][b], forms[k][b][a] = x - y, y - x
+        return tuple(Mat(f, ncols=d) for f in forms if any(map(any, f)))
+
 
 def filtered_endos(v: TVB) -> FilteredEndAlgebra:
     """Solve the membership constraints A·w ∈ V over all filtration steps.
@@ -71,26 +97,15 @@ def filtered_endos(v: TVB) -> FilteredEndAlgebra:
 
 
 def is_commutative(alg: FilteredEndAlgebra) -> bool:
-    basis = alg.basis
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if not commutator(basis[i], basis[j]).is_zero():
-                return False
-    return True
+    c = alg.structure.c
+    return all(c[a][b] == c[b][a] for a in range(alg.dim) for b in range(a))
 
 
 def center(alg: FilteredEndAlgebra) -> list[Mat]:
     """Basis of {Z in the algebra : [Z, A] = 0 for every basis element A}."""
     d = alg.dim
-    if d == 0:
-        return []
-    rows = []
-    r = alg.bundle.r
-    # coordinates x with sum_b x_b [A_b, A_a] = 0 for all a
-    for a in alg.basis:
-        comms = [commutator(b, a).vectorize() for b in alg.basis]
-        for pos in range(r * r):
-            rows.append([comms[b][pos] for b in range(d)])
+    # coordinates x with sum_b x_b [A_a, A_b] = 0 for all a: B_k(e_a, x) = 0
+    rows = [row for form in alg.commutator_forms for row in form.rows if any(row)]
     coords = kernel(Mat(rows, ncols=d)) if rows else Subspace.full(d)
     return [alg.element(x) for x in coords.basis]
 
@@ -105,26 +120,29 @@ class StructureConstants:
         return self.c[a][b]
 
 
-def _coords_in_basis(alg: FilteredEndAlgebra, target: Mat) -> tuple[Fraction, ...] | None:
-    cols = Mat([b.vectorize() for b in alg.basis], ncols=alg.bundle.r ** 2).transpose()
-    return solve_linear(cols, target.vectorize())
-
-
 def structure_constants(alg: FilteredEndAlgebra) -> StructureConstants:
     """Exact coefficients of every basis product; fails if not closed.
 
-    Filtered endomorphism algebras are multiplicatively closed, so a closure
-    violation signals an internal bug.
+    The basis is in reduced row echelon form as vectors of Q^(r²), so the
+    coordinates of a product are its entries at the basis pivots.  Rebuilding
+    each product from them checks closure: filtered endomorphism algebras are
+    multiplicatively closed, so a violation signals an internal bug.
     """
+    vecs = [a.vectorize() for a in alg.basis]
+    pivots = [next(i for i, x in enumerate(v) if x) for v in vecs]
+    supports = [[(i, x) for i, x in enumerate(v) if x] for v in vecs]
     tensor = []
     for a in alg.basis:
         row = []
         for b in alg.basis:
-            coords = _coords_in_basis(alg, a @ b)
-            if coords is None:
-                raise InternalError(
-                    "algebra basis is not closed under multiplication"
-                )
+            rest = list((a @ b).vectorize())
+            coords = tuple(rest[p] for p in pivots)
+            for c, support in zip(coords, supports):
+                if c:
+                    for i, x in support:
+                        rest[i] -= c * x
+            if any(rest):
+                raise InternalError("algebra basis is not closed under multiplication")
             row.append(coords)
         tensor.append(tuple(row))
     return StructureConstants(tuple(tensor))
@@ -181,13 +199,4 @@ def tuple_variety_equations(alg: FilteredEndAlgebra, n: int) -> TupleVarietyEqs:
     d = alg.dim
     if n == 1 or d == 0:
         return TupleVarietyEqs(n, d, ())
-    sc = structure_constants(alg)
-    gammas = []
-    for dest in range(d):
-        form = [
-            [sc.c[a][b][dest] - sc.c[b][a][dest] for b in range(d)]
-            for a in range(d)
-        ]
-        gammas.append(Mat(form, ncols=d))
-    forms = tuple(g for g in gammas if not g.is_zero())
-    return TupleVarietyEqs(n, d, forms)
+    return TupleVarietyEqs(n, d, alg.commutator_forms)

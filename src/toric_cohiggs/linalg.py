@@ -112,13 +112,16 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        cols = list(zip(*other.rows)) if other.rows else []
+        # row times matrix, skipping zero entries on either side
         out = []
         for r in self.rows:
-            if cols:
-                out.append([sum(a * b for a, b in zip(r, c)) for c in cols])
-            else:
-                out.append([])
+            acc = [Q(0)] * other.ncols
+            for a, brow in zip(r, other.rows):
+                if a:
+                    for j, b in enumerate(brow):
+                        if b:
+                            acc[j] += a * b
+            out.append(acc)
         return Mat(out, ncols=other.ncols)
 
     def mul_vec(self, v: Sequence) -> Vec:

@@ -19,6 +19,7 @@ from toric_cohiggs import (
     fan_pn,
     fan_product,
     field_from_vector_field,
+    filtered_endos,
     line_bundle,
     normalize_filtration,
     tangent_bundle,
@@ -114,8 +115,6 @@ def test_weighted_sections_have_no_valid_constant_tuple():
 def test_pn_valid_tuples_are_exactly_scalars():
     # solving the filtration constraints leaves only multiples of the identity,
     # so every valid tuple on the tangent bundle has scalar entries
-    from toric_cohiggs import filtered_endos
-
     for n in (2, 3):
         v = tangent_bundle(fan_pn(n))
         alg = filtered_endos(v)

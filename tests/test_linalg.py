@@ -329,6 +329,38 @@ def test_mat_identity_elementary_and_product():
     assert Mat.identity(3) @ Mat.identity(3) == Mat.identity(3)
 
 
+def test_product_with_empty_inner_dimension_is_zero():
+    assert Mat([[], []], ncols=0) @ Mat([], ncols=3) == Mat.zero(2, 3)
+    assert Mat([], ncols=2) @ Mat.zero(2, 3) == Mat([], ncols=3)
+    assert Mat.zero(2, 3) @ Mat([[], [], []], ncols=0) == Mat([[], []], ncols=0)
+
+
+@st.composite
+def sparse_factor_pairs(draw):
+    """Two multipliable matrices, mostly zeros, any dimension possibly 0."""
+    n, k, m = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    zero = st.just(Q(0))
+    entry = st.one_of(zero, zero, zero, st.fractions(-4, 4, max_denominator=3))
+
+    def mat(rows, cols):
+        grid = st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+        return Mat(draw(grid), ncols=cols)
+
+    return mat(n, k), mat(k, m)
+
+
+@given(sparse_factor_pairs())
+def test_sparse_product_matches_naive_triple_sum(pair):
+    a, b = pair
+    prod = a @ b
+    assert (prod.nrows, prod.ncols) == (a.nrows, b.ncols)
+    for i in range(a.nrows):
+        for j in range(b.ncols):
+            naive = sum((a.entry(i, t) * b.entry(t, j) for t in range(a.ncols)), Q(0))
+            assert prod.entry(i, j) == naive
+            assert type(prod.entry(i, j)) is Q
+
+
 def test_random_invertible_is_invertible():
     rng = random.Random(37)
     g = random_invertible(rng, 3)

@@ -103,6 +103,8 @@ def _build_parser() -> _Parser:
 
 def _example_fan(variety: str, dim: int) -> Fan:
     if variety == "pn":
+        if dim < 1:
+            raise SchemaError(f"--dim {dim}: projective space fan needs n >= 1")
         return fan_pn(dim)
     if variety == "p1xp1":
         return fan_product(fan_pn(1), fan_pn(1))
@@ -297,13 +299,18 @@ def main(argv=None) -> int:
         if args.strict and not positive:
             return 3
         return 0
-    except (SchemaError, OSError, ValueError) as exc:
+    except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # anything else is a broken invariant, not bad input
+        if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+            # str() of a result over the interpreter's digit limit: the input's
+            # numbers are too large to report, which is bad input, not a bug
+            print(f"error: the input's numbers are too large to report: {exc}", file=sys.stderr)
+            return 1
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -71,7 +71,7 @@ class FilteredEndAlgebra:
                 if c[a][b] != c[b][a]:
                     for k, (x, y) in enumerate(zip(c[a][b], c[b][a])):
                         forms[k][a][b], forms[k][b][a] = x - y, y - x
-        return tuple(Mat(f, ncols=d) for f in forms if any(map(any, f)))
+        return tuple(Mat._trusted(f, d) for f in forms if any(map(any, f)))
 
 
 def filtered_endos(v: TVB) -> FilteredEndAlgebra:
@@ -106,7 +106,7 @@ def center(alg: FilteredEndAlgebra) -> list[Mat]:
     d = alg.dim
     # coordinates x with sum_b x_b [A_a, A_b] = 0 for all a: B_k(e_a, x) = 0
     rows = [row for form in alg.commutator_forms for row in form.rows if any(row)]
-    coords = kernel(Mat(rows, ncols=d)) if rows else Subspace.full(d)
+    coords = kernel(Mat._trusted(rows, d)) if rows else Subspace.full(d)
     return [alg.element(x) for x in coords.basis]
 
 

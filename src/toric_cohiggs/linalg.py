@@ -6,22 +6,38 @@ module.  Subspaces are stored in a canonical form, the reduced row echelon
 basis, so that equality of subspaces is entrywise equality of bases.  Every
 operation that returns a basis lists it in pivot-ascending order.
 
+Elimination runs on integer rows: each row is scaled by the lcm of its
+denominators, Gauss-Jordan proceeds by integer cross-multiplication with
+every updated row divided by its content, and the rows become Fractions once,
+at the end, divided by their pivots.  Rows that are already canonical
+Fractions (reduced bases, products, sums and scalings of matrices) are stored
+as they are, through the internal constructors ``Subspace._canonical`` and
+``Mat._trusted``, and never coerced again; ``as_vec`` is the entry point for
+outside values.
+
 All values are immutable after construction and all functions are pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
 
 Vec = tuple[Fraction, ...]
 
+_ZERO = Q(0)
+_ONE = Q(1)
+
 
 def as_vec(entries: Iterable) -> Vec:
-    """Coerce an iterable of ints / strings / Fractions to a rational vector."""
-    return tuple(Q(x) for x in entries)
+    """Coerce an iterable of ints / strings / Fractions to a rational vector.
+
+    A Fraction is immutable and already in lowest terms, so it is kept as it is.
+    """
+    return tuple(x if type(x) is Fraction else Q(x) for x in entries)
 
 
 def rat_str(x: Fraction) -> str:
@@ -64,6 +80,14 @@ class Mat:
         object.__setattr__(self, "rows", rws)
         object.__setattr__(self, "ncols", ncols)
 
+    @classmethod
+    def _trusted(cls, rows: Iterable[Sequence[Fraction]], ncols: int) -> "Mat":
+        """A matrix from rows of Fractions, each of length ncols; nothing is checked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(m, "ncols", ncols)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
@@ -73,41 +97,41 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls([[Q(int(i == j)) for j in range(n)] for i in range(n)], ncols=n)
+        return cls._trusted([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Mat":
-        return cls([[Q(0)] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._trusted([(_ZERO,) * ncols] * nrows, ncols)
 
     @classmethod
     def elementary(cls, nrows: int, ncols: int, i: int, j: int) -> "Mat":
         """Matrix with a single 1 at position (i, j)."""
-        rows = [[Q(int(r == i and c == j)) for c in range(ncols)] for r in range(nrows)]
-        return cls(rows, ncols=ncols)
+        rows = [[_ONE if r == i and c == j else _ZERO for c in range(ncols)] for r in range(nrows)]
+        return cls._trusted(rows, ncols)
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+        return Mat._trusted(
+            [[a + b if b else a for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+            self.ncols,
         )
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+        return Mat._trusted(
+            [[a - b if b else a for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+            self.ncols,
         )
 
     def __neg__(self) -> "Mat":
-        return Mat([[-a for a in r] for r in self.rows], ncols=self.ncols)
+        return Mat._trusted([[-a for a in r] for r in self.rows], self.ncols)
 
     def scale(self, c) -> "Mat":
         c = Q(c)
-        return Mat([[c * a for a in r] for r in self.rows], ncols=self.ncols)
+        return Mat._trusted([[c * a for a in r] for r in self.rows], self.ncols)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
@@ -115,23 +139,23 @@ class Mat:
         # row times matrix, skipping zero entries on either side
         out = []
         for r in self.rows:
-            acc = [Q(0)] * other.ncols
+            acc = [_ZERO] * other.ncols
             for a, brow in zip(r, other.rows):
                 if a:
                     for j, b in enumerate(brow):
                         if b:
                             acc[j] += a * b
             out.append(acc)
-        return Mat(out, ncols=other.ncols)
+        return Mat._trusted(out, other.ncols)
 
     def mul_vec(self, v: Sequence) -> Vec:
         v = as_vec(v)
         if len(v) != self.ncols:
             raise ValueError(f"vector of length {len(v)} against {self.nrows}x{self.ncols} matrix")
-        return tuple(sum(a * b for a, b in zip(r, v)) for r in self.rows)
+        return tuple(sum((a * b for a, b in zip(r, v) if a and b), _ZERO) for r in self.rows)
 
     def transpose(self) -> "Mat":
-        return Mat(list(zip(*self.rows)) if self.rows else [], ncols=self.nrows)
+        return Mat._trusted(zip(*self.rows) if self.rows else [()] * self.ncols, self.nrows)
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.rows for a in r)
@@ -145,7 +169,7 @@ class Mat:
         v = as_vec(v)
         if len(v) != nrows * ncols:
             raise ValueError("vector length does not factor as nrows*ncols")
-        return cls([v[i * ncols:(i + 1) * ncols] for i in range(nrows)], ncols=ncols)
+        return cls._trusted([v[i * ncols:(i + 1) * ncols] for i in range(nrows)], ncols)
 
     def _same_shape(self, other: "Mat") -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -166,36 +190,59 @@ def commutator(a: Mat, b: Mat) -> Mat:
     return a @ b - b @ a
 
 
-def _rref_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan on a copy; returns (all rows incl. zero rows, pivot columns)."""
-    m = [list(r) for r in rows]
+def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
+    """The row times the lcm of its denominators: integers, same direction."""
+    den = lcm(*(a.denominator for a in row))
+    if den == 1:
+        return [a.numerator for a in row]
+    return [a.numerator * (den // a.denominator) for a in row]
+
+
+def _rref_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan on integer copies; returns (all rows incl. zero rows, pivot columns).
+
+    Clearing column c of a row with entry f against the pivot row with pivot
+    p replaces the row by p*row - f*pivot_row, divided by its content.  Each
+    pivot row is divided by its pivot once at the end, so the result is the
+    unique reduced row echelon form, in Fractions.
+    """
+    m = [_integer_row(r) for r in rows]
     if not m:
         return [], []
-    ncols = len(m[0])
+    nrows, ncols = len(m), len(m[0])
     pivots: list[int] = []
     lead = 0
     for col in range(ncols):
-        piv = next((i for i in range(lead, len(m)) if m[i][col] != 0), None)
+        piv = next((i for i in range(lead, nrows) if m[i][col]), None)
         if piv is None:
             continue
         m[lead], m[piv] = m[piv], m[lead]
-        inv = m[lead][col]
-        m[lead] = [a / inv for a in m[lead]]
-        for i in range(len(m)):
-            if i != lead and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[lead])]
+        prow = m[lead]
+        p = prow[col]
+        for i, row in enumerate(m):
+            f = row[col]
+            if f and i != lead:
+                new = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*new)
+                if g > 1:
+                    new = [a // g for a in new]
+                m[i] = new
         pivots.append(col)
         lead += 1
-        if lead == len(m):
+        if lead == nrows:
             break
-    return m, pivots
+    out = []
+    for row, col in zip(m, pivots):
+        p = row[col]
+        out.append([Fraction(a, p) if a else _ZERO for a in row])
+    out.extend([_ZERO] * ncols for _ in range(nrows - lead))
+    return out, pivots
 
 
 def rref(m: Mat) -> Mat:
     """The unique reduced row echelon form; the row space is preserved."""
     reduced, _ = _rref_rows(m.rows)
-    return Mat(reduced, ncols=m.ncols)
+    return Mat._trusted(reduced, m.ncols)
 
 
 class Subspace:
@@ -203,10 +250,11 @@ class Subspace:
 
     The basis is canonical: rows are nonzero, pivots are 1 with strictly
     increasing columns, and pivot columns are zero elsewhere.  Two subspaces
-    are equal iff their stored bases agree entrywise.
+    are equal iff their stored bases agree entrywise.  ``pivots`` lists the
+    basis rows' pivot columns.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_integer_basis")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Iterable] = ()):
         if ambient_dim < 0:
@@ -216,31 +264,50 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise ValueError(f"vector of length {len(v)} in ambient dimension {ambient_dim}")
         reduced, pivots = _rref_rows(vecs)
+        self._store(ambient_dim, reduced[: len(pivots)], pivots)
+
+    def _store(self, ambient_dim: int, rows, pivots) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(tuple(r) for r in reduced[: len(pivots)]))
+        object.__setattr__(self, "basis", tuple(map(tuple, rows)))
+        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_integer_basis", None)
+
+    @classmethod
+    def _canonical(
+        cls, ambient_dim: int, rows: Iterable[Sequence[Fraction]], pivots: Iterable[int]
+    ) -> "Subspace":
+        """The subspace whose reduced row echelon basis is ``rows``; nothing is checked."""
+        s = object.__new__(cls)
+        s._store(ambient_dim, rows, pivots)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim)
+        """The zero subspace of Q^n: one shared instance per n."""
+        got = _ZERO_SPACES.get(ambient_dim)
+        if got is None:
+            if ambient_dim < 0:
+                raise ValueError("negative ambient dimension")
+            got = _ZERO_SPACES[ambient_dim] = cls._canonical(ambient_dim, (), ())
+        return got
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         """The whole of Q^n: one shared instance per n, since subspaces are immutable."""
         got = _FULL_SPACES.get(ambient_dim)
         if got is None:
-            got = _FULL_SPACES[ambient_dim] = cls(ambient_dim, Mat.identity(ambient_dim).rows)
+            if ambient_dim < 0:
+                raise ValueError("negative ambient dimension")
+            rows = Mat.identity(ambient_dim).rows
+            got = _FULL_SPACES[ambient_dim] = cls._canonical(ambient_dim, rows, range(ambient_dim))
         return got
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, a in enumerate(row) if a != 0) for row in self.basis)
 
     def is_zero(self) -> bool:
         return not self.basis
@@ -248,27 +315,39 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def _reduce(self, v: Vec) -> Vec:
-        """Residue of v after elimination against the canonical basis."""
-        v = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c != 0:
-                v = [a - c * b for a, b in zip(v, row)]
-        return tuple(v)
+    def _integer_rows(self) -> list[list[int]]:
+        """The basis rows times the lcm of their denominators, computed once."""
+        if self._integer_basis is None:
+            object.__setattr__(self, "_integer_basis", [_integer_row(row) for row in self.basis])
+        return self._integer_basis
+
+    def _residue(self, u: list[int]) -> tuple[list[int], int]:
+        """(w·residue, w) for an integer vector u, reduced against the basis.
+
+        Clearing pivot column p with the basis row's integer multiple b
+        (pivot d) replaces u by d*u - u[p]*b; w is the product of those d.
+        """
+        w = 1
+        for b, p in zip(self._integer_rows(), self.pivots):
+            f = u[p]
+            if f:
+                d = b[p]
+                u = [d * x - f * y for x, y in zip(u, b)]
+                w *= d
+        return u, w
 
     def contains_vector(self, v: Sequence) -> bool:
         v = as_vec(v)
         if len(v) != self.ambient_dim:
             raise ValueError("ambient mismatch")
-        return all(a == 0 for a in self._reduce(v))
+        return not any(self._residue(_integer_row(v))[0])
 
     def contains(self, other: "Subspace") -> bool:
         self._same_ambient(other)
-        return all(self.contains_vector(v) for v in other.basis)
+        return not any(any(self._residue(u)[0]) for u in other._integer_rows())
 
     def basis_mat(self) -> Mat:
-        return Mat(self.basis, ncols=self.ambient_dim)
+        return Mat._trusted(self.basis, self.ambient_dim)
 
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -291,26 +370,50 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}: {rows})"
 
 
+_ZERO_SPACES: dict[int, Subspace] = {}
 _FULL_SPACES: dict[int, Subspace] = {}
+
+
+def _span(ambient_dim: int, rows: Sequence[Sequence[Fraction | int]]) -> Subspace:
+    """The canonical subspace spanned by rows of length ambient_dim."""
+    reduced, pivots = _rref_rows(rows)
+    return Subspace._canonical(ambient_dim, reduced[: len(pivots)], pivots)
+
+
+def _null_vectors(
+    reduced: Sequence[Sequence[Fraction]], pivots: Sequence[int], ncols: int
+) -> list[list[Fraction]]:
+    """A kernel basis of a reduced row echelon system, one vector per free
+    column; not in canonical form."""
+    pivot_set = set(pivots)
+    vectors = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [_ZERO] * ncols
+        v[f] = _ONE
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        vectors.append(v)
+    return vectors
 
 
 def kernel(m: Mat) -> Subspace:
     """Canonical basis of the right kernel {x : m x = 0} in Q^ncols."""
     reduced, pivots = _rref_rows(m.rows)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    vectors = []
-    for f in free:
-        v = [Q(0)] * m.ncols
-        v[f] = Q(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
-        vectors.append(v)
-    return Subspace(m.ncols, vectors)
+    if not pivots:
+        return Subspace.full(m.ncols)
+    return _span(m.ncols, _null_vectors(reduced, pivots, m.ncols))
 
 
 def intersect(s: Subspace, t: Subspace) -> Subspace:
-    """Canonical basis of s ∩ t."""
+    """Canonical basis of s ∩ t.
+
+    The larger space's canonical basis reduces each basis row t_j of the other
+    to a residue that vanishes at the pivot columns; sum_j c_j t_j lies in the
+    intersection iff sum_j c_j residue_j = 0, a system with one equation per
+    free column.  Its kernel gives the combinations that span s ∩ t.
+    """
     s._same_ambient(t)
     if s.is_zero() or t.is_zero():
         return Subspace.zero(s.ambient_dim)
@@ -318,49 +421,58 @@ def intersect(s: Subspace, t: Subspace) -> Subspace:
         return t
     if t.is_full():
         return s
-    # Solve sum_i a_i s_i - sum_j b_j t_j = 0; the a-part spans the intersection.
-    a, b = s.dim, t.dim
-    cols = list(s.basis) + [tuple(-x for x in row) for row in t.basis]
-    m = Mat(list(zip(*cols)), ncols=a + b)
-    ker = kernel(m)
+    if s.dim < t.dim:
+        s, t = t, s
+    rows = t._integer_rows()
+    scaled = [s._residue(u) for u in rows]
+    system = [eq for eq in zip(*(res for res, _ in scaled)) if any(eq)]
+    if not system:
+        return t  # t ⊆ s
+    reduced, pivots = _rref_rows(system)
+    combos = _null_vectors(reduced, pivots, t.dim)
+    if not combos:
+        return Subspace.zero(s.ambient_dim)
+    # residue_j is w_j times that of the integer row u_j, so c spans sum_j c_j w_j u_j
     vectors = []
-    for coeffs in ker.basis:
-        v = [Q(0)] * s.ambient_dim
-        for c, row in zip(coeffs[:a], s.basis):
-            if c != 0:
-                v = [x + c * y for x, y in zip(v, row)]
+    for c in combos:
+        v = [0] * s.ambient_dim
+        for cj, (_, w), u in zip(_integer_row(c), scaled, rows):
+            if cj:
+                cj *= w
+                v = [x + cj * y for x, y in zip(v, u)]
         vectors.append(v)
-    return Subspace(s.ambient_dim, vectors)
+    return _span(s.ambient_dim, vectors)
 
 
 def subspace_sum(s: Subspace, *more: Subspace) -> Subspace:
     """Canonical basis of s + t + ..., reduced in one elimination."""
-    rows = list(s.basis)
+    rows = list(s._integer_rows())
     for t in more:
         s._same_ambient(t)
-        rows.extend(t.basis)
-    return Subspace(s.ambient_dim, rows)
+        rows.extend(t._integer_rows())
+    return _span(s.ambient_dim, rows)
 
 
 def complement_within(s: Subspace, t: Subspace) -> Subspace:
     """Deterministic complement c with c ⊕ s = t, for s ⊆ t.
 
     c is spanned by the rows of t's canonical basis whose pivot columns are
-    not pivot columns of s's basis (greedy pivot selection on t's basis).
+    not pivot columns of s's basis (greedy pivot selection on t's basis); a
+    subset of reduced rows is itself reduced, so it is stored as it is.
     """
     s._same_ambient(t)
     if not t.contains(s):
         raise ValueError("first subspace is not contained in the second")
     taken = set(s.pivots)
-    rows = [row for row, p in zip(t.basis, t.pivots) if p not in taken]
-    return Subspace(t.ambient_dim, rows)
+    kept = [(row, p) for row, p in zip(t.basis, t.pivots) if p not in taken]
+    return Subspace._canonical(t.ambient_dim, [row for row, _ in kept], [p for _, p in kept])
 
 
 def annihilator(s: Subspace) -> Subspace:
     """Functionals f with f·v = 0 for every v in s (kernel of the basis matrix)."""
     if s.is_zero():
         return Subspace.full(s.ambient_dim)
-    return kernel(s.basis_mat())
+    return _span(s.ambient_dim, _null_vectors(s.basis, s.pivots, s.ambient_dim))
 
 
 def solve_linear(a: Mat, b: Sequence) -> Vec | None:
@@ -368,11 +480,10 @@ def solve_linear(a: Mat, b: Sequence) -> Vec | None:
     b = as_vec(b)
     if len(b) != a.nrows:
         raise ValueError("right-hand side length mismatch")
-    aug = Mat([list(r) + [c] for r, c in zip(a.rows, b)] or [], ncols=a.ncols + 1)
-    reduced, pivots = _rref_rows(aug.rows)
+    reduced, pivots = _rref_rows([r + (c,) for r, c in zip(a.rows, b)])
     if a.ncols in pivots:
         return None
-    x = [Q(0)] * a.ncols
+    x = [_ZERO] * a.ncols
     for i, p in enumerate(pivots):
         x[p] = reduced[i][a.ncols]
     return tuple(x)
@@ -396,8 +507,5 @@ def solve_mat_constraints(
         for f in annihilator(v).basis:
             # coefficient of A[i][j] in f·(A w) is f_i * w_j
             rows.append([f[i] * w[j] for i in range(r) for j in range(r)])
-    if not rows:
-        ker = Subspace.full(r * r)
-    else:
-        ker = kernel(Mat(rows, ncols=r * r))
-    return [Mat.from_vec(v, r, r) for v in ker.basis]
+    ker = kernel(Mat._trusted(rows, r * r))
+    return [Mat._trusted([v[i * r:(i + 1) * r] for i in range(r)], r) for v in ker.basis]

@@ -232,11 +232,13 @@ def _resolve(path_str: str, base_dir: Path | None) -> Path:
 def _load_json(path: Path):
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise SchemaError(f"{path} is nested too deeply to parse") from exc
+    except ValueError as exc:  # also an integer literal over Python's digit limit
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -206,6 +207,73 @@ def test_malformed_json_exits_1(tmp_path, run_cli):
     r = run_cli(["check", str(bad)], tmp_path)
     assert r.returncode == 1
     assert "is not valid JSON" in r.stderr
+
+
+def test_deeply_nested_json_exits_1(tmp_path, run_cli):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000)
+    r = run_cli(["check", str(bad)], tmp_path)
+    assert r.returncode == 1
+    assert "is nested too deeply to parse" in r.stderr
+
+
+@pytest.mark.parametrize("fan_path", ["nul\x00byte.json", "latin1.json"], ids=["nul", "not-utf8"])
+def test_unreadable_fan_path_exits_1(tmp_path, run_cli, make_fixture, fan_path):
+    (tmp_path / "latin1.json").write_bytes(b'{"n": "\xe9"}')
+    path = make_fixture(["tangent", "--variety", "pn", "--dim", "2"], tmp_path)
+    obj = json.loads(path.read_text())
+    obj["fan"] = fan_path
+    path.write_text(json.dumps(obj))
+    r = run_cli(["check", str(path)], tmp_path)
+    assert r.returncode == 1
+    assert "cannot read" in r.stderr
+
+
+def test_integer_literal_over_digit_limit_exits_1(tmp_path, run_cli, make_fixture):
+    path = make_fixture(["tangent", "--variety", "pn", "--dim", "2"], tmp_path)
+    obj = json.loads(path.read_text())
+    obj["rank"] = "RANK"
+    path.write_text(json.dumps(obj).replace('"RANK"', "1" * 5000))
+    r = run_cli(["check", str(path)], tmp_path)
+    assert r.returncode == 1
+    assert "is not valid JSON" in r.stderr and "digits" in r.stderr
+
+
+def test_result_over_digit_limit_exits_1(tmp_path, run_cli):
+    # 2x2 minors of 4000-digit entries: the reduced basis has ~8000-digit
+    # entries, which str() refuses to write
+    rng = random.Random(5)
+
+    def big():
+        return str(rng.randrange(10**3999, 10**4000))
+
+    bundle = {
+        "fan": {"n": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                "max_cones": [[0, 1], [1, 2], [0, 2]]},
+        "rank": 3,
+        "filtrations": [
+            {"ray": i, "steps": [{"j": 0, "basis": [[big() for _ in range(3)] for _ in range(2)]},
+                                 {"j": 1, "basis": []}]}
+            for i in range(3)
+        ],
+    }
+    path = tmp_path / "big.bundle.json"
+    path.write_text(json.dumps(bundle))
+    r = run_cli(["check", str(path)], tmp_path)
+    assert r.returncode == 1
+    assert "the input's numbers are too large to report" in r.stderr
+
+
+def test_internal_value_error_exits_2(tmp_path, run_cli, make_fixture, monkeypatch):
+    path = make_fixture(["tangent", "--variety", "pn", "--dim", "2"], tmp_path)
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken invariant")
+
+    monkeypatch.setattr(cli, "is_vector_bundle", broken)
+    r = run_cli(["check", str(path)], tmp_path)
+    assert r.returncode == 2
+    assert "internal error: ValueError: broken invariant" in r.stderr
 
 
 def test_invalid_fan_in_bundle_exits_1(tmp_path, run_cli):

@@ -1,0 +1,350 @@
+"""The integer elimination core against two independent slow paths.
+
+``reference_rref_rows`` is the Fraction Gauss-Jordan that ``linalg._rref_rows``
+used before elimination moved to integer rows; it lives here only as a
+reference.  The ``reference_*`` subspace operations are built on it the way
+the library built them before (the intersection from the stacked
+n x (dim s + dim t) kernel), and sympy's ``Matrix.rref``/``nullspace`` are a
+second, independent check.  The inputs cover non-integer rationals, negative
+entries, zero rows and columns, 0 x n and n x 0 shapes, and full, zero, equal
+and nested subspaces.  Every ``Mat`` and ``Subspace`` built through the
+internal constructors must hold only ``Fraction`` entries and equal the one
+the public, coercing constructors build from the same rows.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toric_cohiggs.linalg import (
+    Mat,
+    Subspace,
+    _rref_rows,
+    annihilator,
+    complement_within,
+    intersect,
+    kernel,
+    rref,
+    solve_mat_constraints,
+    subspace_sum,
+)
+
+
+def reference_rref_rows(rows):
+    """Fraction Gauss-Jordan on a copy; returns (all rows incl. zero rows, pivot columns)."""
+    m = [[Fraction(a) for a in r] for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    lead = 0
+    for col in range(ncols):
+        piv = next((i for i in range(lead, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[lead], m[piv] = m[piv], m[lead]
+        inv = m[lead][col]
+        m[lead] = [a / inv for a in m[lead]]
+        for i in range(len(m)):
+            if i != lead and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[lead])]
+        pivots.append(col)
+        lead += 1
+        if lead == len(m):
+            break
+    return m, pivots
+
+
+def reference_basis(rows):
+    reduced, pivots = reference_rref_rows(rows)
+    return tuple(tuple(r) for r in reduced[: len(pivots)])
+
+
+def reference_kernel_vectors(rows, ncols):
+    reduced, pivots = reference_rref_rows(rows)
+    vectors = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][f]
+        vectors.append(v)
+    return vectors
+
+
+def reference_kernel(m: Mat):
+    return reference_basis(reference_kernel_vectors(m.rows, m.ncols))
+
+
+def reference_intersect(s: Subspace, t: Subspace):
+    """Kernel of the stacked system sum_i a_i s_i - sum_j b_j t_j = 0."""
+    a, b = s.dim, t.dim
+    cols = list(s.basis) + [tuple(-x for x in row) for row in t.basis]
+    system = [list(r) for r in zip(*cols)]
+    vectors = []
+    for coeffs in reference_kernel_vectors(system, a + b):
+        v = [Fraction(0)] * s.ambient_dim
+        for c, row in zip(coeffs[:a], s.basis):
+            v = [x + c * y for x, y in zip(v, row)]
+        vectors.append(v)
+    return reference_basis(vectors)
+
+
+def reference_complement(s: Subspace, t: Subspace):
+    rows = [row for row in t.basis if next(j for j, a in enumerate(row) if a) not in s.pivots]
+    return reference_basis(rows)
+
+
+# --------------------------------------------------------------------------
+# sympy as the second reference
+
+def to_sympy(rows, ncols):
+    return sympy.Matrix(len(rows), ncols, [sympy.Rational(a.numerator, a.denominator)
+                                           for r in rows for a in r])
+
+
+def from_sympy(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+def sympy_rref(rows, ncols):
+    reduced, pivots = to_sympy(rows, ncols).rref()
+    return [[from_sympy(x) for x in reduced.row(i)] for i in range(reduced.rows)], list(pivots)
+
+
+def sympy_span(rows, ncols):
+    if not rows:
+        return ()
+    reduced, pivots = sympy_rref(rows, ncols)
+    return tuple(tuple(r) for r in reduced[: len(pivots)])
+
+
+def sympy_kernel(rows, ncols):
+    if not rows:
+        return tuple(tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols))
+    null = to_sympy(rows, ncols).nullspace()
+    return sympy_span([[from_sympy(x) for x in v] for v in null], ncols)
+
+
+def sympy_intersect(s: Subspace, t: Subspace):
+    """The a-parts of the kernel of [s^T | -t^T], combined and reduced by sympy."""
+    a, n = s.dim, s.ambient_dim
+    if not a or not t.dim:
+        return ()
+    system = [list(r) for r in zip(*(list(s.basis) + [[-x for x in r] for r in t.basis]))]
+    combos = [v[:a] for v in sympy_kernel(system, a + t.dim)]
+    vectors = [[sum((c * x for c, x in zip(cs, col)), Fraction(0)) for col in zip(*s.basis)]
+               for cs in combos]
+    return sympy_span(vectors, n)
+
+
+def sympy_rank(rows, ncols):
+    return to_sympy(rows, ncols).rank() if rows else 0
+
+
+# --------------------------------------------------------------------------
+# strategies
+
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-6, 6).map(Fraction),
+    st.fractions(min_value=-7, max_value=7, max_denominator=9),
+)
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=5, ncols=None, nrows=None):
+    if ncols is None:
+        ncols = draw(st.integers(0, max_cols))
+    if nrows is None:
+        nrows = draw(st.integers(0, max_rows))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    # zero rows and columns appear on their own sometimes; force some more
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [Fraction(0)] * ncols
+    if ncols and draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        for r in rows:
+            r[j] = Fraction(0)
+    return Mat(rows, ncols=ncols)
+
+
+@st.composite
+def subspaces(draw, n):
+    kind = draw(st.sampled_from(["random", "random", "random", "zero", "full"]))
+    if kind == "zero":
+        return Subspace.zero(n)
+    if kind == "full":
+        return Subspace.full(n)
+    return Subspace(n, draw(matrices(ncols=n)).rows)
+
+
+@st.composite
+def subspace_pairs(draw):
+    n = draw(st.integers(0, 5))
+    how = draw(st.sampled_from(["overlap"] * 4 + ["independent", "equal", "inside", "around"]))
+    if how == "overlap":
+        common, only_s, only_t = (draw(matrices(max_rows=3, ncols=n)).rows for _ in range(3))
+        return Subspace(n, common + only_s), Subspace(n, common + only_t)
+    s = draw(subspaces(n))
+    if how == "equal":
+        return s, Subspace(n, s.basis)
+    if how in ("inside", "around"):
+        coeffs = draw(matrices(ncols=s.dim))
+        inner = Subspace(n, (coeffs @ s.basis_mat()).rows)
+        return (inner, s) if how == "inside" else (s, subspace_sum(s, draw(subspaces(n))))
+    return s, draw(subspaces(n))
+
+
+def only_fractions(rows) -> bool:
+    return isinstance(rows, tuple) and all(
+        isinstance(r, tuple) and all(type(a) is Fraction for a in r) for r in rows
+    )
+
+
+def assert_trusted_subspace(s: Subspace):
+    assert only_fractions(s.basis)
+    assert s == Subspace(s.ambient_dim, s.basis)
+    assert s.pivots == tuple(next(j for j, a in enumerate(r) if a) for r in s.basis)
+
+
+def assert_trusted_mat(m: Mat):
+    assert only_fractions(m.rows)
+    assert all(len(r) == m.ncols for r in m.rows)
+    assert m == Mat(m.rows, ncols=m.ncols)
+
+
+# --------------------------------------------------------------------------
+# elimination
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_rows=6, max_cols=6))
+def test_rref_rows_matches_fraction_reference_and_sympy(m):
+    reduced, pivots = _rref_rows(m.rows)
+    assert (reduced, pivots) == reference_rref_rows(m.rows)
+    assert all(type(a) is Fraction for r in reduced for a in r)
+    assert len(reduced) == m.nrows
+    assert (reduced, pivots) == (sympy_rref(m.rows, m.ncols) if m.rows else ([], []))
+    assert_trusted_mat(rref(m))
+
+
+def test_rref_rows_shapes_without_entries():
+    assert _rref_rows([]) == ([], [])
+    assert _rref_rows([[], []]) == ([[], []], [])
+    zero_rows = [[Fraction(0)] * 3] * 2
+    assert _rref_rows(zero_rows) == (zero_rows, [])
+    assert rref(Mat([], ncols=4)) == Mat([], ncols=4)
+
+
+def test_rref_rows_large_entries():
+    big = Fraction(10**30 + 7, 3**40)
+    rows = [[big, Fraction(1), Fraction(-2, 3)], [Fraction(5), big * big, Fraction(1, 7)],
+            [big, Fraction(0), big]]
+    assert _rref_rows(rows) == reference_rref_rows(rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrices(max_rows=5, max_cols=6))
+def test_kernel_matches_references(m):
+    ker = kernel(m)
+    assert ker.basis == reference_kernel(m)
+    assert ker.basis == sympy_kernel(m.rows, m.ncols)
+    assert_trusted_subspace(ker)
+
+
+# --------------------------------------------------------------------------
+# subspace operations
+
+@settings(max_examples=200, deadline=None)
+@given(subspace_pairs())
+def test_intersect_matches_references(pair):
+    s, t = pair
+    n = s.ambient_dim
+    got = intersect(s, t)
+    assert got == intersect(t, s)
+    assert got.basis == reference_intersect(s, t)
+    assert got.basis == sympy_intersect(s, t)
+    assert got.dim == s.dim + t.dim - sympy_rank(list(s.basis) + list(t.basis), n)
+    assert_trusted_subspace(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_pairs(), st.data())
+def test_sum_matches_references(pair, data):
+    s, t = pair
+    u = data.draw(subspaces(s.ambient_dim))
+    got = subspace_sum(s, t, u)
+    rows = list(s.basis) + list(t.basis) + list(u.basis)
+    assert got.basis == reference_basis(rows)
+    assert got.basis == sympy_span(rows, s.ambient_dim)
+    assert_trusted_subspace(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_pairs())
+def test_complement_matches_references(pair):
+    s, t = pair
+    if not t.contains(s):
+        s = intersect(s, t)
+    c = complement_within(s, t)
+    assert c.basis == reference_complement(s, t)
+    n = t.ambient_dim
+    assert c.dim + s.dim == t.dim
+    assert sympy_rank(list(c.basis) + list(s.basis), n) == t.dim
+    assert sympy_span(list(c.basis) + list(t.basis), n) == t.basis
+    assert_trusted_subspace(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(subspaces))
+def test_annihilator_matches_references(s):
+    ann = annihilator(s)
+    assert ann.basis == reference_kernel(Mat(s.basis, ncols=s.ambient_dim))
+    assert ann.basis == sympy_kernel(list(s.basis), s.ambient_dim)
+    assert_trusted_subspace(ann)
+
+
+def test_shared_zero_and_full_spaces_are_canonical():
+    for n in range(5):
+        assert Subspace.zero(n) is Subspace.zero(n)
+        assert Subspace.zero(n) == Subspace(n)
+        assert Subspace.full(n) == Subspace(n, Mat.identity(n).rows)
+        assert_trusted_subspace(Subspace.zero(n))
+        assert_trusted_subspace(Subspace.full(n))
+
+
+# --------------------------------------------------------------------------
+# matrices built through the trusted constructor
+
+@st.composite
+def product_pairs(draw):
+    k = draw(st.integers(0, 4))
+    return draw(matrices(max_rows=4, ncols=k)), draw(matrices(max_cols=4, nrows=k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_pairs(), entries)
+def test_matrix_arithmetic_holds_only_fractions(pair, c):
+    a, b = pair
+    assert_trusted_mat(a @ b)
+    for m in (a + a, a - a, -a, a.scale(c), a.transpose(), Mat.identity(a.ncols),
+              Mat.zero(a.nrows, a.ncols), Mat.from_vec(a.vectorize(), a.nrows, a.ncols)):
+        assert_trusted_mat(m)
+    assert (a.transpose().nrows, a.transpose().ncols) == (a.ncols, a.nrows)
+    assert a.transpose().transpose() == a
+    assert Mat.from_vec(a.vectorize(), a.nrows, a.ncols) == a
+
+
+def test_solve_mat_constraints_holds_only_fractions():
+    line = Subspace(3, [[Fraction(1), Fraction(-1, 2), Fraction(0)]])
+    plane = Subspace(3, [[1, 0, 2], [0, 1, Fraction(1, 3)]])
+    basis = solve_mat_constraints([(w, line) for w in line.basis]
+                                  + [(w, plane) for w in plane.basis], 3)
+    assert basis
+    for m in basis:
+        assert_trusted_mat(m)

@@ -12,7 +12,6 @@ from .bundles import (
     ConeGrading,
     Filtration,
     Incompatible,
-    Indeterminate,
     TVB,
     adapted_basis_oracle,
     cone_grading,

@@ -4,21 +4,19 @@ Verbs: check, endalg, classify, validate-field, chern, example.  Negative
 mathematical verdicts are data (exit 0, or 3 under --strict); exit 1 means
 malformed input and exit 2 an internal invariant violation.  JSON output is
 canonical: sorted keys, rationals as "p/q" strings, byte-identical across
-runs.  The environment variable TVB_ORACLE_LIMIT caps the rank up to which
-the exhaustive grading oracle arbitrates (default 4).
+runs.  Compatibility verdicts are complete at every rank.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import serialize
 from .bundles import (
-    DEFAULT_ORACLE_LIMIT,
     TVB,
     equivariant_chern_data,
     is_vector_bundle,
@@ -46,14 +44,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _oracle_limit() -> int:
-    raw = os.environ.get("TVB_ORACLE_LIMIT", "")
-    try:
-        return int(raw) if raw else DEFAULT_ORACLE_LIMIT
-    except ValueError:
-        raise SchemaError(f"TVB_ORACLE_LIMIT must be an integer, got {raw!r}")
-
-
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="toric-cohiggs", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -196,7 +187,7 @@ def _load_bundle_checked(path: str) -> TVB:
 
 def _run_check(args) -> tuple[dict, bool]:
     bundle = _load_bundle_checked(args.bundle)
-    verdict = is_vector_bundle(bundle, oracle_limit=_oracle_limit())
+    verdict = is_vector_bundle(bundle)
     report = {
         "verb": "check",
         "inputs": {"bundle": _input_digest(args.bundle)},
@@ -229,7 +220,7 @@ def _run_endalg(args) -> tuple[dict, bool]:
 
 def _run_classify(args) -> tuple[dict, bool]:
     bundle = _load_bundle_checked(args.bundle)
-    report = classify(bundle, oracle_limit=_oracle_limit())
+    report = classify(bundle)
     obj = {
         "verb": "classify",
         "inputs": {"bundle": _input_digest(args.bundle)},
@@ -259,7 +250,7 @@ def _run_validate_field(args) -> tuple[dict, bool]:
 
 def _run_chern(args) -> tuple[dict, bool]:
     bundle = _load_bundle_checked(args.bundle)
-    verdict = is_vector_bundle(bundle, oracle_limit=_oracle_limit())
+    verdict = is_vector_bundle(bundle)
     report = {
         "verb": "chern",
         "inputs": {"bundle": _input_digest(args.bundle)},

@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .bundles import (
     ChernData,
-    DEFAULT_ORACLE_LIMIT,
     TVB,
     direct_sum,
     equivariant_chern_data,
@@ -196,18 +195,14 @@ _GROUP_NOTE = (
 )
 
 
-def classify(
-    v: TVB,
-    *,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-) -> ClassificationReport:
+def classify(v: TVB) -> ClassificationReport:
     """Full classification of valid field tuples on one bundle.
 
     For a commutative endomorphism algebra the valid fields form a free
     module with n·dim generators (one basis matrix per slot); otherwise the
     report carries the exact bilinear equations of the commuting tuples.
     """
-    verdict = is_vector_bundle(v, oracle_limit=oracle_limit)
+    verdict = is_vector_bundle(v)
     warnings = []
     if not verdict.compatible:
         warnings.append(

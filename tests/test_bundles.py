@@ -10,7 +10,6 @@ from toric_cohiggs import (
     Fan,
     Filtration,
     Incompatible,
-    Indeterminate,
     Subspace,
     TVB,
     adapted_basis_oracle,
@@ -26,6 +25,7 @@ from toric_cohiggs import (
     tangent_bundle,
     tensor_line,
 )
+from toric_cohiggs.bundles import _greedy_pieces
 from toric_cohiggs.fans import dual_basis
 
 from conftest import (
@@ -33,6 +33,7 @@ from conftest import (
     standard_cone_fan,
     three_lines_bundle,
 )
+from test_grading_reference import reference_pieces
 
 
 def _line(*coords):
@@ -258,16 +259,21 @@ def test_grading_rejects_non_maximal_cone():
 
 
 def test_grading_is_independent_of_traversal_order():
+    # the library walks the grid unsorted; a reference walk in three orders
+    # (incomparable points tie-broken differently) finds the same pieces
     rng = random.Random(41)
-    orders = [None, lambda lv: tuple(-x for x in lv), lambda lv: tuple(reversed(lv))]
+    orders = [
+        lambda lv: (sum(lv), lv),
+        lambda lv: (sum(lv), tuple(-x for x in lv)),
+        lambda lv: (sum(lv), tuple(reversed(lv))),
+    ]
     for _ in range(25):
         n = rng.randint(1, 3)
         fan = standard_cone_fan(n)
         v = random_bundle(rng, fan, rng.randint(1, 3))
-        outs = [cone_grading(v, fan.max_cones[0], tie_break=t) for t in orders]
-        assert all(type(o) is type(outs[0]) for o in outs)
-        if isinstance(outs[0], ConeGrading):
-            assert all(o == outs[0] for o in outs)
+        pieces = _greedy_pieces(v.filts, v.r)
+        for key in orders:
+            assert reference_pieces(v.filts, v.r, key) == pieces
 
 
 def test_grading_reconstructs_filtrations_externally(bundle_zoo):
@@ -334,16 +340,19 @@ def test_embedded_three_lines_names_the_failing_cone():
     assert verdict.certificate
 
 
-def test_rank_above_oracle_limit_is_indeterminate():
+def test_rank_five_three_lines_is_decided_incompatible():
     base = three_lines_bundle()
     fat = base
     for _ in range(3):
         fat = direct_sum(fat, line_bundle(base.fan, 0))
     assert fat.r == 5
-    verdict = is_vector_bundle(fat, oracle_limit=4)
-    assert verdict.status == "indeterminate"
-    verdict5 = is_vector_bundle(fat, oracle_limit=5)
-    assert verdict5.status == "incompatible"
+    verdict = is_vector_bundle(fat)
+    assert verdict.status == "incompatible"
+    assert verdict.cone_index == 0
+    assert verdict.certificate == (
+        "candidate pieces are not jointly independent: dimensions sum to 6 but "
+        "span has dimension 5; oracle: forced multiplicities sum to 6, expected rank 5"
+    )
 
 
 # ---------------------------------------------------------------------------

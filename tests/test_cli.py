@@ -342,8 +342,9 @@ def test_example_bad_dim_exits_1(tmp_path, run_cli):
     assert "needs n >= 1" in r.stderr
 
 
-def test_oracle_limit_env_controls_indeterminate(tmp_path, run_cli, monkeypatch):
-    # rank 5 incompatible data: verdict depends on the oracle cap
+def test_check_report_ignores_the_old_oracle_limit_env(tmp_path, run_cli, monkeypatch):
+    # rank 5 incompatible data, once reported indeterminate under a rank cap
+    # set by TVB_ORACLE_LIMIT: the verdict is decided whatever the variable says
     from toric_cohiggs import direct_sum, line_bundle
     from toric_cohiggs.serialize import bundle_to_obj, save_json
     from conftest import three_lines_bundle
@@ -354,14 +355,27 @@ def test_oracle_limit_env_controls_indeterminate(tmp_path, run_cli, monkeypatch)
     path = tmp_path / "fat.bundle.json"
     save_json(path, bundle_to_obj(fat))
     monkeypatch.delenv("TVB_ORACLE_LIMIT", raising=False)
-    r_default = run_cli(["check", str(path), "--format", "json"], tmp_path)
-    assert json.loads(r_default.stdout)["status"] == "indeterminate"
-    r_relaxed = run_cli(
-        ["check", str(path), "--format", "json"],
-        tmp_path,
-        env={"TVB_ORACLE_LIMIT": "5"},
-    )
-    assert json.loads(r_relaxed.stdout)["status"] == "incompatible"
+    args = ["check", str(path), "--format", "json"]
+    unset = run_cli(args, tmp_path)
+    assert unset.returncode == 0
+    assert json.loads(unset.stdout)["status"] == "incompatible"
+    for value in ("5", "junk"):
+        r = run_cli(args, tmp_path, env={"TVB_ORACLE_LIMIT": value})
+        assert (r.returncode, r.stdout, r.stderr) == (0, unset.stdout, unset.stderr)
+
+
+def test_cached_parser_gives_the_bytes_of_a_fresh_one(tmp_path, run_cli, make_fixture):
+    assert cli._build_parser() is cli._build_parser()
+    path = make_fixture(["tangent", "--variety", "pn", "--dim", "2"], tmp_path)
+    args = ["check", str(path), "--format", "json"]
+    usage = run_cli(["check"], tmp_path)
+    assert usage.returncode == 1
+    after_error = run_cli(args, tmp_path)
+    cli._build_parser.cache_clear()
+    fresh = run_cli(args, tmp_path)
+    assert after_error.returncode == fresh.returncode == 0
+    assert after_error.stdout == fresh.stdout
+    assert after_error.stderr == fresh.stderr == ""
 
 
 def test_example_respects_output_path(tmp_path, run_cli):

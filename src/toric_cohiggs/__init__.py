@@ -64,9 +64,11 @@ from .linalg import (
     Mat,
     Subspace,
     commutator,
+    commutes,
     complement_within,
     intersect,
     kernel,
+    preserves,
     rat_from_str,
     rat_str,
     rref,

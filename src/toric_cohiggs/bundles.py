@@ -90,6 +90,14 @@ class Filtration:
         if self.r > 0 and steps[0][1].is_full():
             raise ValueError("the first step subspace must be proper")
 
+    @classmethod
+    def _trusted(cls, r: int, steps: tuple[tuple[int, Subspace], ...]) -> "Filtration":
+        """A filtration from normalized steps with int thresholds; nothing is checked."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "r", r)
+        object.__setattr__(f, "steps", steps)
+        return f
+
     @cached_property
     def thresholds(self) -> tuple[int, ...]:
         return tuple(j for j, _ in self.steps)
@@ -111,7 +119,9 @@ def normalize_filtration(r: int, raw_steps: Iterable[tuple[int, Subspace]]) -> F
     Sorts by threshold, rejects non-monotone data, drops steps whose subspace
     equals the full space (implicit below the first threshold), merges equal
     consecutive subspaces keeping the earliest threshold, and appends the zero
-    subspace one past the last threshold when missing.
+    subspace one past the last threshold when missing.  The checks on the
+    sorted raw steps leave a cleaned sequence that is normalized, so it is
+    stored without the constructor's checks.
     """
     steps = sorted(((int(j), v) for j, v in raw_steps), key=lambda p: p[0])
     for (j0, v0), (j1, v1) in zip(steps, steps[1:]):
@@ -120,7 +130,7 @@ def normalize_filtration(r: int, raw_steps: Iterable[tuple[int, Subspace]]) -> F
         if not v0.contains(v1):
             raise ValueError("subspaces are not decreasing along thresholds")
     if r == 0:
-        return Filtration(0, ((steps[0][0] if steps else 0, Subspace.zero(0)),))
+        return Filtration._trusted(0, ((steps[0][0] if steps else 0, Subspace.zero(0)),))
     cleaned: list[tuple[int, Subspace]] = []
     for j, v in steps:
         if v.ambient_dim != r:
@@ -132,10 +142,10 @@ def normalize_filtration(r: int, raw_steps: Iterable[tuple[int, Subspace]]) -> F
         cleaned.append((j, v))
     if not cleaned:
         base = steps[-1][0] + 1 if steps else 0
-        return Filtration(r, ((base, Subspace.zero(r)),))
+        return Filtration._trusted(r, ((base, Subspace.zero(r)),))
     if not cleaned[-1][1].is_zero():
         cleaned.append((cleaned[-1][0] + 1, Subspace.zero(r)))
-    return Filtration(r, tuple(cleaned))
+    return Filtration._trusted(r, tuple(cleaned))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,20 @@ preserves every filtration step and all entries pairwise commute.  Expanding
 the field in the affine chart of a maximal cone rewrites the tuple through
 the cone's dual basis, which gives an independent route to the commutation
 check: the chart matrices of every cone must themselves commute.
+
+Both checks are decided on integer multiples of the matrices (see
+``linalg.commutes`` and ``linalg.preserves``), which is exact because
+commutation and invariance do not change under nonzero scaling.  The chart
+matrices M_k = Σ_j u^k_j A_j have integer coefficients u^k because the cones
+are smooth, so with D a common denominator of the tuple, D·M_k is an integer
+combination of the integer matrices D·A_j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .bundles import (
@@ -30,8 +39,8 @@ from .endalg import (
     is_commutative,
     tuple_variety_equations,
 )
-from .fans import Cone, Fan, dual_basis
-from .linalg import Mat, Q, commutator
+from .fans import Character, Cone, Fan, dual_basis
+from .linalg import Mat, Q, _integer_commute, commutes, preserves
 
 
 @dataclass(frozen=True)
@@ -77,20 +86,17 @@ def validate_field(v: TVB, mats: Sequence[Mat]) -> FieldVerdict:
     for m in mats:
         if m.nrows != v.r or m.ncols != v.r:
             raise ValueError("field matrices must be rank x rank")
-    filt_bad = []
-    for slot, a in enumerate(mats):
-        for ray_idx, filt in enumerate(v.filts):
-            for j, sub in filt.steps:
-                if sub.dim in (0, v.r):
-                    continue
-                if any(not sub.contains_vector(a.mul_vec(w)) for w in sub.basis):
-                    filt_bad.append((slot, ray_idx, j))
-    comm_bad = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not commutator(mats[i], mats[j]).is_zero():
-                comm_bad.append((i, j))
-    return FieldVerdict(not filt_bad and not comm_bad, tuple(filt_bad), tuple(comm_bad))
+    filt_bad = tuple(
+        (slot, ray_idx, j)
+        for slot, a in enumerate(mats)
+        for ray_idx, filt in enumerate(v.filts)
+        for j, sub in filt.steps
+        if not preserves(a, sub)
+    )
+    comm_bad = tuple(
+        (i, j) for i in range(n) for j in range(i + 1, n) if not commutes(mats[i], mats[j])
+    )
+    return FieldVerdict(not filt_bad and not comm_bad, filt_bad, comm_bad)
 
 
 def field_from_vector_field(v: TVB, coeffs: Sequence) -> ToricCoHiggsField:
@@ -116,16 +122,35 @@ class ChartExpansion:
     terms: tuple[tuple[tuple[int, ...], Mat], ...]
 
 
-def chart_expansion(field: ToricCoHiggsField, sigma: Cone) -> ChartExpansion:
+def _integer_charts(
+    field: ToricCoHiggsField, sigma: Cone
+) -> tuple[tuple[Character, ...], int, list[list[list[int]]]]:
+    """(u^1..u^n, D, [D·M_1, ..., D·M_n]) for one maximal cone.
+
+    D is the lcm of the denominators of the whole tuple, and D·M_k is the
+    integer combination Σ_j u^k_j D·A_j.
+    """
     duals = dual_basis(field.bundle.fan, sigma)
+    forms = [a._integer_form() for a in field.mats]
+    den = lcm(*(d for d, _ in forms))
+    scaled = [
+        rows if d == den else [[den // d * x for x in row] for row in rows] for d, rows in forms
+    ]
+    # zip(*scaled) yields row i of every D·A_j, and zip(*rows) their (i, j) entries
+    charts = [
+        [[sum(map(mul, u, entries)) for entries in zip(*rows)] for rows in zip(*scaled)]
+        for u in duals
+    ]
+    return duals, den, charts
+
+
+def chart_expansion(field: ToricCoHiggsField, sigma: Cone) -> ChartExpansion:
+    duals, den, charts = _integer_charts(field, sigma)
     r = field.bundle.r
-    terms = []
-    for u in duals:
-        m = Mat.zero(r, r)
-        for coeff, a in zip(u, field.mats):
-            if coeff:
-                m = m + a.scale(coeff)
-        terms.append((u, m))
+    terms = (
+        (u, Mat._trusted([[Q(x, den) for x in row] for row in m], r))
+        for u, m in zip(duals, charts)
+    )
     return ChartExpansion(sigma, tuple(terms))
 
 
@@ -144,11 +169,10 @@ def verify_integrability(field: ToricCoHiggsField) -> IntegrabilityVerdict:
     commutation sub-verdict on every input.
     """
     for idx, sigma in enumerate(field.bundle.fan.max_cones):
-        exp = chart_expansion(field, sigma)
-        mats = [m for _, m in exp.terms]
-        for k in range(len(mats)):
-            for l in range(k + 1, len(mats)):
-                if not commutator(mats[k], mats[l]).is_zero():
+        _, _, charts = _integer_charts(field, sigma)
+        for k in range(len(charts)):
+            for l in range(k + 1, len(charts)):
+                if not _integer_commute(charts[k], charts[l]):
                     return IntegrabilityVerdict(False, (idx, k, l))
     return IntegrabilityVerdict(True)
 

@@ -15,6 +15,14 @@ as they are, through the internal constructors ``Subspace._canonical`` and
 ``Mat._trusted``, and never coerced again; ``as_vec`` is the entry point for
 outside values.
 
+The predicates ``commutes`` and ``preserves`` are decided on integer
+multiples too, which is exact because both are invariant under nonzero
+scaling.  Each matrix computes its integer form (D, D·A), with D the lcm of
+its denominators, once.  For commutation, (D_a a)(D_b b) - (D_b b)(D_a a) =
+D_a D_b [a, b], so the integer products agree iff a and b commute.  For
+invariance, a·w lies in s iff (D a)·w does, and membership of an integer
+vector is its residue against the integer basis rows of s.
+
 All values are immutable after construction and all functions are pure.
 """
 
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -42,17 +51,26 @@ def as_vec(entries: Iterable) -> Vec:
 
 def rat_str(x: Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    x = Q(x)
+    if type(x) is not Fraction:
+        x = Q(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse "p/q" (sign on the numerator) or a bare integer string."""
+    """Parse "p/q" (sign on the numerator) or a bare integer string.
+
+    ``int`` accepts no string that ``Fraction`` rejects and reads the same
+    value, so integer strings take that faster path.
+    """
+    t = s.strip()
     try:
-        x = Q(s.strip())
+        return Fraction(int(t))
+    except ValueError:
+        pass
+    try:
+        return Q(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {s!r}") from exc
-    return x
 
 
 class Mat:
@@ -62,7 +80,7 @@ class Mat:
     given explicitly for matrices with no rows.
     """
 
-    __slots__ = ("rows", "ncols")
+    __slots__ = ("rows", "ncols", "_integer")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
         rws = tuple(as_vec(r) for r in rows)
@@ -79,6 +97,7 @@ class Mat:
             raise ValueError("negative column count")
         object.__setattr__(self, "rows", rws)
         object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "_integer", None)
 
     @classmethod
     def _trusted(cls, rows: Iterable[Sequence[Fraction]], ncols: int) -> "Mat":
@@ -86,6 +105,7 @@ class Mat:
         m = object.__new__(cls)
         object.__setattr__(m, "rows", tuple(map(tuple, rows)))
         object.__setattr__(m, "ncols", ncols)
+        object.__setattr__(m, "_integer", None)
         return m
 
     def __setattr__(self, name, value):
@@ -160,6 +180,14 @@ class Mat:
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.rows for a in r)
 
+    def _integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, D·rows) with D the lcm of every entry's denominator, computed once."""
+        if self._integer is None:
+            den = lcm(*(a.denominator for r in self.rows for a in r))
+            rows = tuple(tuple(a.numerator * (den // a.denominator) for a in r) for r in self.rows)
+            object.__setattr__(self, "_integer", (den, rows))
+        return self._integer
+
     def vectorize(self) -> Vec:
         """Row-major flattening into Q^(nrows*ncols)."""
         return tuple(a for r in self.rows for a in r)
@@ -188,6 +216,27 @@ class Mat:
 
 def commutator(a: Mat, b: Mat) -> Mat:
     return a @ b - b @ a
+
+
+def _integer_commute(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> bool:
+    """Whether x y = y x for square integer matrices of one size, row by row."""
+    xcols, ycols = list(zip(*x)), list(zip(*y))
+    return all(
+        [sum(map(mul, xi, c)) for c in ycols] == [sum(map(mul, yi, c)) for c in xcols]
+        for xi, yi in zip(x, y)
+    )
+
+
+def _square_of_size(a: Mat, n: int) -> None:
+    if a.nrows != n or a.ncols != n:
+        raise ValueError(f"expected a {n}x{n} matrix, got {a.nrows}x{a.ncols}")
+
+
+def commutes(a: Mat, b: Mat) -> bool:
+    """Whether a b = b a, decided on the integer forms of a and b."""
+    _square_of_size(a, a.nrows)
+    _square_of_size(b, a.nrows)
+    return _integer_commute(a._integer_form()[1], b._integer_form()[1])
 
 
 def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
@@ -372,6 +421,20 @@ class Subspace:
 
 _ZERO_SPACES: dict[int, Subspace] = {}
 _FULL_SPACES: dict[int, Subspace] = {}
+
+
+def preserves(a: Mat, s: Subspace) -> bool:
+    """Whether a maps s into s, decided on the integer form of a.
+
+    (D a)·w has a zero residue against s for every integer basis row w of s.
+    """
+    _square_of_size(a, s.ambient_dim)
+    if s.is_zero() or s.is_full():
+        return True
+    x = a._integer_form()[1]
+    return not any(
+        any(s._residue([sum(map(mul, row, w)) for row in x])[0]) for w in s._integer_rows()
+    )
 
 
 def _span(ambient_dim: int, rows: Sequence[Sequence[Fraction | int]]) -> Subspace:

@@ -30,6 +30,7 @@ from toric_cohiggs.fans import dual_basis
 
 from conftest import (
     random_bundle,
+    random_filtration,
     standard_cone_fan,
     three_lines_bundle,
 )
@@ -120,11 +121,31 @@ def test_tangent_filtration_value_at_one_is_ray_line(fan_zoo):
 
 
 def test_filtration_constructor_rejects_bad_data():
-    line = Subspace(2, [(1, 0)])
-    with pytest.raises(ValueError):
-        Filtration(2, ((0, line),))  # last step not zero
-    with pytest.raises(ValueError):
-        Filtration(2, ())
+    line, other = Subspace(2, [(1, 0)]), Subspace(2, [(0, 1)])
+    zero, full = Subspace.zero(2), Subspace.full(2)
+    for steps, message in [
+        (((0, line),), "the last step subspace must be zero"),
+        ((), "a filtration needs at least one step"),
+        (((0, Subspace.zero(3)),), "step subspace in the wrong ambient dimension"),
+        (((1, line), (1, zero)), "thresholds must be strictly increasing"),
+        (((0, line), (1, other), (2, zero)), "step subspaces must be strictly decreasing"),
+        (((0, line), (1, line), (2, zero)), "step subspaces must be strictly decreasing"),
+        (((0, full), (1, zero)), "the first step subspace must be proper"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Filtration(2, steps)
+
+
+def test_normalized_filtrations_pass_the_constructor_checks():
+    rng = random.Random(41)
+    for _ in range(200):
+        r = rng.randint(1, 4)
+        f = random_filtration(rng, r)
+        raw = list(f.steps) + [(j, Subspace.full(r)) for j in range(-4, f.steps[0][0])]
+        raw += [(j, v) for j, v in f.steps if rng.random() < 0.5]  # repeated steps merge
+        rng.shuffle(raw)
+        g = normalize_filtration(r, raw)
+        assert g == Filtration(r, g.steps) == f
 
 
 # ---------------------------------------------------------------------------

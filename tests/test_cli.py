@@ -148,6 +148,40 @@ def test_validate_field_verb(tmp_path, run_cli, make_fixture):
     assert report["integrability_agrees"] is True
 
 
+# P^2, rank 2: ray 0 filters by the line of (1/2, 1/3).  The first matrix keeps
+# that line and the second does not; the two do not commute.
+FRACTIONAL_FIELD = (
+    '{"bundle": {"fan": {"n": 2, "rays": [[1, 0], [0, 1], [-1, -1]],'
+    ' "max_cones": [[0, 1], [1, 2], [0, 2]]},\n'
+    '            "rank": 2,\n'
+    '            "filtrations": [{"ray": 0, "steps": [{"j": 0, "basis": [["1/2", "1/3"]]},'
+    ' {"j": 1, "basis": []}]},\n'
+    '                            {"ray": 1, "steps": [{"j": 0, "basis": []}]},\n'
+    '                            {"ray": 2, "steps": [{"j": 0, "basis": []}]}]},\n'
+    ' "tuple": [[["1", "-3/4"], ["0", "1/2"]], [["0", "1/3"], ["2/5", "0"]]]}\n'
+)
+
+
+def test_validate_field_report_with_fractional_entries(tmp_path, run_cli):
+    (tmp_path / "frac.field.json").write_text(FRACTIONAL_FIELD)
+    r = run_cli(["validate-field", "frac.field.json", "--format", "json"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    expected = {
+        "commutator_violations": [[0, 1]],
+        "filtration_violations": [[1, 0, 0]],
+        "inputs": {"field": {
+            "path": "frac.field.json",
+            "sha256": "d25a869648ef27e403f6126f1abbf53afdd767ad054363bcad57fbb6476fa07b",
+        }},
+        "integrability": {"first_failure": {"chart_pair": [0, 1], "cone": 0}, "valid": False},
+        "integrability_agrees": True,
+        "valid": False,
+        "verb": "validate-field",
+    }
+    assert r.stdout == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    assert r.stderr == ""
+
+
 def test_chern_verb(tmp_path, run_cli, make_fixture):
     path = make_fixture(["tangent", "--variety", "pn", "--dim", "1"], tmp_path)
     r = run_cli(["chern", str(path), "--format", "json"], tmp_path)

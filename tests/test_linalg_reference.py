@@ -9,7 +9,9 @@ second, independent check.  The inputs cover non-integer rationals, negative
 entries, zero rows and columns, 0 x n and n x 0 shapes, and full, zero, equal
 and nested subspaces.  Every ``Mat`` and ``Subspace`` built through the
 internal constructors must hold only ``Fraction`` entries and equal the one
-the public, coercing constructors build from the same rows.
+the public, coercing constructors build from the same rows.  The rational
+string parser, which tries ``int`` first, is compared with ``Fraction``'s own
+parser on arbitrary text.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toric_cohiggs.linalg import (
@@ -28,6 +30,8 @@ from toric_cohiggs.linalg import (
     complement_within,
     intersect,
     kernel,
+    rat_from_str,
+    rat_str,
     rref,
     solve_mat_constraints,
     subspace_sum,
@@ -348,3 +352,57 @@ def test_solve_mat_constraints_holds_only_fractions():
     assert basis
     for m in basis:
         assert_trusted_mat(m)
+
+
+# --------------------------------------------------------------------------
+# rational strings: the int fast path against Fraction's own parser
+
+
+def reference_rat_from_str(s: str) -> Fraction:
+    try:
+        return Fraction(s.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational: {s!r}") from exc
+
+
+def parse_outcome(parse, s: str):
+    try:
+        x = parse(s)
+    except ValueError as exc:
+        return "error", str(exc)
+    return type(x), x
+
+
+numeric_text = st.text(
+    alphabet=st.sampled_from(
+        list("0123456789_+-/.eE \t\n") + ["\u0661", "\u0966", "\uff19", "\u2003", "\x1c", "\x00"]
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), numeric_text))
+@example("\u0661\u0662")  # Arabic-Indic digits
+@example(" \u2003-7\n")
+@example("1_000")
+@example("1__0")
+@example("_1")
+@example("1e3")
+@example("3.5")
+@example("0x10")
+@example("-0")
+@example("+12/-3")
+@example("1/0")
+@example("")
+@example("9" * 5000)
+@example("-" + "9" * 5000)
+@example("1/" + "9" * 5000)
+def test_rat_from_str_matches_fraction_parse(s):
+    assert parse_outcome(rat_from_str, s) == parse_outcome(reference_rat_from_str, s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(), st.fractions()))
+def test_rat_str_of_ints_and_fractions(x):
+    assert rat_str(x) == rat_str(Fraction(x)) == str(Fraction(x))

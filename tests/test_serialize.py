@@ -132,22 +132,24 @@ def test_tuple_length_must_match_lattice_rank(bundle_zoo):
 
 
 def test_non_monotone_filtration_is_a_schema_error():
-    obj = {
-        "fan": {"n": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]},
-        "rank": 2,
-        "filtrations": [
-            {
-                "ray": 0,
-                "steps": [
-                    {"j": 0, "basis": [["1", "0"]]},
-                    {"j": 1, "basis": [["0", "1"]]},
-                ],
-            },
-            {"ray": 1, "steps": [{"j": 0, "basis": []}]},
-        ],
-    }
-    with pytest.raises(SchemaError):
-        bundle_from_obj(obj)
+    for steps, reason in [
+        ([(0, [["1", "0"]]), (1, [["0", "1"]])], "subspaces are not decreasing along thresholds"),
+        # the full step is dropped from the stored filtration, not from the check
+        ([(0, [["1", "0"]]), (1, [["1", "0"], ["0", "1"]]), (2, [])],
+         "subspaces are not decreasing along thresholds"),
+        ([(0, [["1", "0"]]), (0, [["0", "1"]])], "two different subspaces at threshold 0"),
+    ]:
+        obj = {
+            "fan": {"n": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]},
+            "rank": 2,
+            "filtrations": [
+                {"ray": 1, "steps": [{"j": j, "basis": basis} for j, basis in steps]},
+                {"ray": 0, "steps": [{"j": 0, "basis": []}]},
+            ],
+        }
+        with pytest.raises(SchemaError) as info:
+            bundle_from_obj(obj)
+        assert str(info.value) == f"bad filtration for ray 1: {reason}"
 
 
 def test_dumps_canonical_is_sorted_and_newline_terminated():

@@ -203,7 +203,7 @@ def tangent_bundle(fan: Fan) -> TVB:
 def _embed(v: Subspace, total: int, offset: int) -> list[tuple]:
     pad_left = (0,) * offset
     pad_right = (0,) * (total - offset - v.ambient_dim)
-    return [pad_left + row + pad_right for row in v.basis]
+    return [pad_left + row + pad_right for row in v.rows]
 
 
 def direct_sum(v: TVB, w: TVB) -> TVB:

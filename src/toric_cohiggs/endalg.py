@@ -90,7 +90,7 @@ def filtered_endos(v: TVB) -> FilteredEndAlgebra:
             if sub in seen:
                 continue
             seen.add(sub)
-            for w in sub.basis:
+            for w in sub.rows:
                 constraints.append((w, sub))
     basis = solve_mat_constraints(constraints, v.r)
     return FilteredEndAlgebra(v, tuple(basis))

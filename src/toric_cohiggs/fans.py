@@ -11,7 +11,7 @@ on the pairwise face compatibility test.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -60,6 +60,8 @@ class Fan:
     n: int
     rays: tuple[RayVec, ...]
     max_cones: tuple[Cone, ...]
+    # cone ray indices -> integer reduced row echelon form of [M | I]; see _reduced_ray_matrix
+    _reduced: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rays", tuple(tuple(int(a) for a in r) for r in self.rays))
@@ -79,34 +81,26 @@ class FanVerdict:
     reason: str | None = None
 
 
+def _reduced_ray_matrix(fan: Fan, cone: Cone) -> tuple[list[list[int]], list[int]]:
+    """Integer reduced row echelon form of [M | I], M the cone's ray matrix.
+
+    Computed once per fan and cone.  When M is invertible the rows are the
+    primitive integer multiples of [I | M^-1], and M^-1 is integral iff every
+    pivot is 1; for an integer matrix that holds iff its determinant is ±1.
+    """
+    got = fan._reduced.get(cone.ray_indices)
+    if got is None:
+        n = len(cone.ray_indices)
+        aug = [list(fan.rays[i]) + [int(k == j) for j in range(n)]
+               for k, i in enumerate(cone.ray_indices)]
+        got = fan._reduced[cone.ray_indices] = _rref_rows(aug)
+    return got
+
+
 def _cone_det_unimodular(fan: Fan, cone: Cone) -> bool:
-    rows = [fan.rays[i] for i in cone.ray_indices]
-    m = [[Q(a) for a in r] for r in rows]
-    det = _det(m)
-    return det in (1, -1)
-
-
-def _det(m: list[list[Fraction]]) -> Fraction:
-    """Determinant by Gaussian elimination on a copy."""
-    n = len(m)
-    if n == 0:
-        return Q(1)
-    m = [row[:] for row in m]
-    det = Q(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return Q(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] / inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det
+    reduced, pivots = _reduced_ray_matrix(fan, cone)
+    n = len(cone.ray_indices)
+    return pivots == list(range(n)) and all(row[k] == 1 for k, row in enumerate(reduced))
 
 
 def validate_fan(fan: Fan, check_faces: bool = False) -> FanVerdict:
@@ -259,20 +253,14 @@ def dual_basis(fan: Fan, sigma: Cone) -> tuple[Character, ...]:
     """
     if sigma not in fan.max_cones:
         raise ValueError("cone is not a maximal cone of the fan")
-    rows = [fan.rays[i] for i in sigma.ray_indices]
-    if len(rows) != fan.n:
-        raise ValueError("cone is not full-dimensional")
     n = fan.n
-    aug = [[Q(a) for a in row] + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    reduced, pivots = _rref_rows(aug)
+    if len(sigma.ray_indices) != n:
+        raise ValueError("cone is not full-dimensional")
+    reduced, pivots = _reduced_ray_matrix(fan, sigma)
     if pivots != list(range(n)):
         raise ValueError("cone ray matrix is singular")
-    inv_rows = [r[n:] for r in reduced[:n]]  # rows of M^{-1} where M rows are the rays
-    # u^k is the k-th column of M^{-1}: <u^k, rho_l> = (M M^{-1})_{lk} = delta
-    duals = []
-    for k in range(n):
-        col = [inv_rows[i][k] for i in range(n)]
-        if any(c.denominator != 1 for c in col):
-            raise ValueError("cone is not smooth: dual basis is not integral")
-        duals.append(tuple(int(c) for c in col))
-    return tuple(duals)
+    if any(row[k] != 1 for k, row in enumerate(reduced)):
+        raise ValueError("cone is not smooth: dual basis is not integral")
+    # the rows hold M^{-1}, M with the rays as rows; u^k is its k-th column:
+    # <u^k, rho_l> = (M M^{-1})_{lk} = delta
+    return tuple(tuple(row[n + k] for row in reduced) for k in range(n))

@@ -1,19 +1,25 @@
 """Exact linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms, positive denominator); there is no floating point anywhere in this
-module.  Subspaces are stored in a canonical form, the reduced row echelon
-basis, so that equality of subspaces is entrywise equality of bases.  Every
-operation that returns a basis lists it in pivot-ascending order.
+There is no floating point anywhere in this module.  Matrices hold
+``fractions.Fraction`` entries (arbitrary precision, lowest terms, positive
+denominator).  A subspace is stored in a canonical form: its reduced row
+echelon basis with each row scaled to a primitive integer vector whose pivot
+is positive.  That form is a bijection with the reduced row echelon basis
+over Q (divide each row by its pivot), so equality of subspaces is equality
+of their integer rows, and the Fraction basis is only built, once and on
+demand, for reports and outside callers.  Every operation that returns a
+basis lists it in pivot-ascending order.
 
-Elimination runs on integer rows: each row is scaled by the lcm of its
+Elimination runs on integer rows: each input row is scaled by the lcm of its
 denominators, Gauss-Jordan proceeds by integer cross-multiplication with
-every updated row divided by its content, and the rows become Fractions once,
-at the end, divided by their pivots.  Rows that are already canonical
-Fractions (reduced bases, products, sums and scalings of matrices) are stored
-as they are, through the internal constructors ``Subspace._canonical`` and
-``Mat._trusted``, and never coerced again; ``as_vec`` is the entry point for
-outside values.
+every updated row divided by its content, and each pivot row is divided by
+its content, signed so the pivot is positive, at the end.  Intersections,
+sums, complements, kernels and annihilators build and consume these integer
+rows directly; kernel vectors are read off the integer reduced rows by
+scaling each free column by the lcm of the pivots it meets.  The internal
+constructors ``Subspace._canonical`` and ``Mat._trusted`` store rows that are
+already canonical without checking them again; ``as_vec`` is the entry point
+for outside values.
 
 The predicates ``commutes`` and ``preserves`` are decided on integer
 multiples too, which is exact because both are invariant under nonzero
@@ -21,7 +27,7 @@ scaling.  Each matrix computes its integer form (D, D·A), with D the lcm of
 its denominators, once.  For commutation, (D_a a)(D_b b) - (D_b b)(D_a a) =
 D_a D_b [a, b], so the integer products agree iff a and b commute.  For
 invariance, a·w lies in s iff (D a)·w does, and membership of an integer
-vector is its residue against the integer basis rows of s.
+vector is its residue against the integer rows of s.
 
 All values are immutable after construction and all functions are pure.
 """
@@ -239,21 +245,28 @@ def commutes(a: Mat, b: Mat) -> bool:
     return _integer_commute(a._integer_form()[1], b._integer_form()[1])
 
 
-def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
-    """The row times the lcm of its denominators: integers, same direction."""
+def _integer_row(row: Sequence) -> list[int]:
+    """The row times the lcm of its denominators: integers, same direction.
+
+    Entries are ints or Fractions; anything else goes through ``as_vec``.
+    """
+    kinds = set(map(type, row))
+    if kinds <= {int}:
+        return list(row)
+    if not kinds <= {int, Fraction}:
+        row = as_vec(row)
     den = lcm(*(a.denominator for a in row))
-    if den == 1:
-        return [a.numerator for a in row]
     return [a.numerator * (den // a.denominator) for a in row]
 
 
-def _rref_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], list[int]]:
+def _rref_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
     """Gauss-Jordan on integer copies; returns (all rows incl. zero rows, pivot columns).
 
     Clearing column c of a row with entry f against the pivot row with pivot
     p replaces the row by p*row - f*pivot_row, divided by its content.  Each
-    pivot row is divided by its pivot once at the end, so the result is the
-    unique reduced row echelon form, in Fractions.
+    pivot row is divided by its content at the end, signed so that its pivot
+    is positive: the result is the reduced row echelon form with every row
+    scaled to a primitive integer vector, which is unique.
     """
     m = [_integer_row(r) for r in rows]
     if not m:
@@ -262,8 +275,10 @@ def _rref_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Frac
     pivots: list[int] = []
     lead = 0
     for col in range(ncols):
-        piv = next((i for i in range(lead, nrows) if m[i][col]), None)
-        if piv is None:
+        for piv in range(lead, nrows):
+            if m[piv][col]:
+                break
+        else:
             continue
         m[lead], m[piv] = m[piv], m[lead]
         prow = m[lead]
@@ -282,50 +297,61 @@ def _rref_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Frac
             break
     out = []
     for row, col in zip(m, pivots):
-        p = row[col]
-        out.append([Fraction(a, p) if a else _ZERO for a in row])
-    out.extend([_ZERO] * ncols for _ in range(nrows - lead))
+        g = gcd(*row)
+        if row[col] < 0:
+            g = -g
+        out.append(row if g == 1 else [a // g for a in row])
+    out.extend([0] * ncols for _ in range(nrows - lead))
     return out, pivots
+
+
+def _fraction_row(row: Sequence[int], col: int) -> Vec:
+    """An integer reduced row divided by its pivot at ``col``: the row over Q."""
+    p = row[col]
+    return tuple(Fraction(a, p) if a else _ZERO for a in row)
 
 
 def rref(m: Mat) -> Mat:
     """The unique reduced row echelon form; the row space is preserved."""
-    reduced, _ = _rref_rows(m.rows)
-    return Mat._trusted(reduced, m.ncols)
+    reduced, pivots = _rref_rows(m.rows)
+    rows = [_fraction_row(row, p) for row, p in zip(reduced, pivots)]
+    rows.extend((_ZERO,) * m.ncols for _ in range(m.nrows - len(pivots)))
+    return Mat._trusted(rows, m.ncols)
 
 
 class Subspace:
-    """A linear subspace of Q^n stored as its reduced-row-echelon basis.
+    """A linear subspace of Q^n stored in its canonical integer form.
 
-    The basis is canonical: rows are nonzero, pivots are 1 with strictly
-    increasing columns, and pivot columns are zero elsewhere.  Two subspaces
-    are equal iff their stored bases agree entrywise.  ``pivots`` lists the
-    basis rows' pivot columns.
+    ``rows`` is the reduced row echelon basis with every row scaled to a
+    primitive integer vector with a positive pivot; pivot columns are
+    strictly increasing and zero in the other rows.  Two subspaces are equal
+    iff their rows agree.  ``pivots`` lists the rows' pivot columns, and
+    ``basis`` is the same basis over Q (every pivot 1), built on first use.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_integer_basis")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_basis")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Iterable] = ()):
         if ambient_dim < 0:
             raise ValueError("negative ambient dimension")
-        vecs = [as_vec(v) for v in vectors]
-        for v in vecs:
+        rows = [_integer_row(tuple(v)) for v in vectors]
+        for v in rows:
             if len(v) != ambient_dim:
                 raise ValueError(f"vector of length {len(v)} in ambient dimension {ambient_dim}")
-        reduced, pivots = _rref_rows(vecs)
+        reduced, pivots = _rref_rows(rows)
         self._store(ambient_dim, reduced[: len(pivots)], pivots)
 
     def _store(self, ambient_dim: int, rows, pivots) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(map(tuple, rows)))
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
         object.__setattr__(self, "pivots", tuple(pivots))
-        object.__setattr__(self, "_integer_basis", None)
+        object.__setattr__(self, "_basis", None)
 
     @classmethod
     def _canonical(
-        cls, ambient_dim: int, rows: Iterable[Sequence[Fraction]], pivots: Iterable[int]
+        cls, ambient_dim: int, rows: Iterable[Sequence[int]], pivots: Iterable[int]
     ) -> "Subspace":
-        """The subspace whose reduced row echelon basis is ``rows``; nothing is checked."""
+        """The subspace whose canonical integer rows are ``rows``; nothing is checked."""
         s = object.__new__(cls)
         s._store(ambient_dim, rows, pivots)
         return s
@@ -350,34 +376,36 @@ class Subspace:
         if got is None:
             if ambient_dim < 0:
                 raise ValueError("negative ambient dimension")
-            rows = Mat.identity(ambient_dim).rows
+            rows = [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)]
             got = _FULL_SPACES[ambient_dim] = cls._canonical(ambient_dim, rows, range(ambient_dim))
         return got
 
     @property
+    def basis(self) -> tuple[Vec, ...]:
+        """The reduced row echelon basis over Q, built once on first use."""
+        if self._basis is None:
+            rows = tuple(_fraction_row(row, p) for row, p in zip(self.rows, self.pivots))
+            object.__setattr__(self, "_basis", rows)
+        return self._basis
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def _integer_rows(self) -> list[list[int]]:
-        """The basis rows times the lcm of their denominators, computed once."""
-        if self._integer_basis is None:
-            object.__setattr__(self, "_integer_basis", [_integer_row(row) for row in self.basis])
-        return self._integer_basis
-
     def _residue(self, u: list[int]) -> tuple[list[int], int]:
-        """(w·residue, w) for an integer vector u, reduced against the basis.
+        """(w·residue, w) for an integer vector u, reduced against the rows.
 
-        Clearing pivot column p with the basis row's integer multiple b
-        (pivot d) replaces u by d*u - u[p]*b; w is the product of those d.
+        Clearing pivot column p with the row b (pivot d) replaces u by
+        d*u - u[p]*b; w is the product of those d.
         """
         w = 1
-        for b, p in zip(self._integer_rows(), self.pivots):
+        for b, p in zip(self.rows, self.pivots):
             f = u[p]
             if f:
                 d = b[p]
@@ -386,14 +414,14 @@ class Subspace:
         return u, w
 
     def contains_vector(self, v: Sequence) -> bool:
-        v = as_vec(v)
-        if len(v) != self.ambient_dim:
+        u = _integer_row(tuple(v))
+        if len(u) != self.ambient_dim:
             raise ValueError("ambient mismatch")
-        return not any(self._residue(_integer_row(v))[0])
+        return not any(self._residue(u)[0])
 
     def contains(self, other: "Subspace") -> bool:
         self._same_ambient(other)
-        return not any(any(self._residue(u)[0]) for u in other._integer_rows())
+        return not any(any(self._residue(u)[0]) for u in other.rows)
 
     def basis_mat(self) -> Mat:
         return Mat._trusted(self.basis, self.ambient_dim)
@@ -408,11 +436,11 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self) -> str:
         rows = "; ".join("(" + ", ".join(rat_str(a) for a in r) + ")" for r in self.basis)
@@ -426,15 +454,13 @@ _FULL_SPACES: dict[int, Subspace] = {}
 def preserves(a: Mat, s: Subspace) -> bool:
     """Whether a maps s into s, decided on the integer form of a.
 
-    (D a)·w has a zero residue against s for every integer basis row w of s.
+    (D a)·w has a zero residue against s for every integer row w of s.
     """
     _square_of_size(a, s.ambient_dim)
     if s.is_zero() or s.is_full():
         return True
     x = a._integer_form()[1]
-    return not any(
-        any(s._residue([sum(map(mul, row, w)) for row in x])[0]) for w in s._integer_rows()
-    )
+    return not any(any(s._residue([sum(map(mul, row, w)) for row in x])[0]) for w in s.rows)
 
 
 def _span(ambient_dim: int, rows: Sequence[Sequence[Fraction | int]]) -> Subspace:
@@ -444,36 +470,48 @@ def _span(ambient_dim: int, rows: Sequence[Sequence[Fraction | int]]) -> Subspac
 
 
 def _null_vectors(
-    reduced: Sequence[Sequence[Fraction]], pivots: Sequence[int], ncols: int
-) -> list[list[Fraction]]:
-    """A kernel basis of a reduced row echelon system, one vector per free
-    column; not in canonical form."""
+    reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int
+) -> list[list[int]]:
+    """A kernel basis of an integer reduced row echelon system, one vector per
+    free column; not in canonical form.
+
+    Row i reads d_i x_{p_i} + sum_f a_if x_f = 0 over the free columns f.  The
+    vector of free column f sets x_f = L, the lcm of the d_i with a_if != 0,
+    and x_{p_i} = -a_if L / d_i.
+    """
     pivot_set = set(pivots)
     vectors = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        v = [_ZERO] * ncols
-        v[f] = _ONE
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
+        hits = [(p, row[f], row[p]) for row, p in zip(reduced, pivots) if row[f]]
+        scale = lcm(*(d for _, _, d in hits))
+        v = [0] * ncols
+        v[f] = scale
+        for p, a, d in hits:
+            v[p] = -a * (scale // d)
         vectors.append(v)
     return vectors
 
 
+def _kernel_of_rows(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> Subspace:
+    """Canonical basis of {x : r·x = 0 for every row r} in Q^ncols."""
+    reduced, pivots = _rref_rows(rows)
+    if not pivots:
+        return Subspace.full(ncols)
+    return _span(ncols, _null_vectors(reduced, pivots, ncols))
+
+
 def kernel(m: Mat) -> Subspace:
     """Canonical basis of the right kernel {x : m x = 0} in Q^ncols."""
-    reduced, pivots = _rref_rows(m.rows)
-    if not pivots:
-        return Subspace.full(m.ncols)
-    return _span(m.ncols, _null_vectors(reduced, pivots, m.ncols))
+    return _kernel_of_rows(m.rows, m.ncols)
 
 
 def intersect(s: Subspace, t: Subspace) -> Subspace:
     """Canonical basis of s ∩ t.
 
-    The larger space's canonical basis reduces each basis row t_j of the other
-    to a residue that vanishes at the pivot columns; sum_j c_j t_j lies in the
+    The larger space's rows reduce each row t_j of the other to a residue
+    that vanishes at the pivot columns; sum_j c_j t_j lies in the
     intersection iff sum_j c_j residue_j = 0, a system with one equation per
     free column.  Its kernel gives the combinations that span s ∩ t.
     """
@@ -486,7 +524,7 @@ def intersect(s: Subspace, t: Subspace) -> Subspace:
         return s
     if s.dim < t.dim:
         s, t = t, s
-    rows = t._integer_rows()
+    rows = t.rows
     scaled = [s._residue(u) for u in rows]
     system = [eq for eq in zip(*(res for res, _ in scaled)) if any(eq)]
     if not system:
@@ -495,11 +533,11 @@ def intersect(s: Subspace, t: Subspace) -> Subspace:
     combos = _null_vectors(reduced, pivots, t.dim)
     if not combos:
         return Subspace.zero(s.ambient_dim)
-    # residue_j is w_j times that of the integer row u_j, so c spans sum_j c_j w_j u_j
+    # residue_j is w_j times that of the row u_j, so c spans sum_j c_j w_j u_j
     vectors = []
     for c in combos:
         v = [0] * s.ambient_dim
-        for cj, (_, w), u in zip(_integer_row(c), scaled, rows):
+        for cj, (_, w), u in zip(c, scaled, rows):
             if cj:
                 cj *= w
                 v = [x + cj * y for x, y in zip(v, u)]
@@ -508,12 +546,16 @@ def intersect(s: Subspace, t: Subspace) -> Subspace:
 
 
 def subspace_sum(s: Subspace, *more: Subspace) -> Subspace:
-    """Canonical basis of s + t + ..., reduced in one elimination."""
-    rows = list(s._integer_rows())
+    """Canonical basis of s + t + ..., reduced in one elimination.
+
+    With at most one nonzero summand the sum is that summand, already canonical.
+    """
     for t in more:
         s._same_ambient(t)
-        rows.extend(t._integer_rows())
-    return _span(s.ambient_dim, rows)
+    nonzero = [t for t in (s, *more) if t.rows]
+    if len(nonzero) < 2:
+        return nonzero[0] if nonzero else s
+    return _span(s.ambient_dim, [row for t in nonzero for row in t.rows])
 
 
 def complement_within(s: Subspace, t: Subspace) -> Subspace:
@@ -527,7 +569,7 @@ def complement_within(s: Subspace, t: Subspace) -> Subspace:
     if not t.contains(s):
         raise ValueError("first subspace is not contained in the second")
     taken = set(s.pivots)
-    kept = [(row, p) for row, p in zip(t.basis, t.pivots) if p not in taken]
+    kept = [(row, p) for row, p in zip(t.rows, t.pivots) if p not in taken]
     return Subspace._canonical(t.ambient_dim, [row for row, _ in kept], [p for _, p in kept])
 
 
@@ -535,7 +577,7 @@ def annihilator(s: Subspace) -> Subspace:
     """Functionals f with f·v = 0 for every v in s (kernel of the basis matrix)."""
     if s.is_zero():
         return Subspace.full(s.ambient_dim)
-    return _span(s.ambient_dim, _null_vectors(s.basis, s.pivots, s.ambient_dim))
+    return _span(s.ambient_dim, _null_vectors(s.rows, s.pivots, s.ambient_dim))
 
 
 def solve_linear(a: Mat, b: Sequence) -> Vec | None:
@@ -547,8 +589,8 @@ def solve_linear(a: Mat, b: Sequence) -> Vec | None:
     if a.ncols in pivots:
         return None
     x = [_ZERO] * a.ncols
-    for i, p in enumerate(pivots):
-        x[p] = reduced[i][a.ncols]
+    for row, p in zip(reduced, pivots):
+        x[p] = Fraction(row[a.ncols], row[p])
     return tuple(x)
 
 
@@ -564,11 +606,11 @@ def solve_mat_constraints(
     """
     rows = []
     for w, v in constraints:
-        w = as_vec(w)
+        w = _integer_row(tuple(w))  # A·w ∈ V holds for w iff for any nonzero multiple
         if len(w) != r or v.ambient_dim != r:
             raise ValueError("constraint dimension mismatch")
-        for f in annihilator(v).basis:
+        for f in annihilator(v).rows:
             # coefficient of A[i][j] in f·(A w) is f_i * w_j
-            rows.append([f[i] * w[j] for i in range(r) for j in range(r)])
-    ker = kernel(Mat._trusted(rows, r * r))
+            rows.append([fi * wj for fi in f for wj in w])
+    ker = _kernel_of_rows(rows, r * r)
     return [Mat._trusted([v[i * r:(i + 1) * r] for i in range(r)], r) for v in ker.basis]

@@ -6,17 +6,20 @@ Bundle files: {"fan": <fan object or path>, "rank": int,
                "basis": [["p/q",...],...]}]}]}
 Field files:  {"bundle": <bundle object or path>, "tuple": [matrix,...]}
 
-Rationals travel as strings "p/q" (or "p"), sign on the numerator.  Subspace
-bases may arrive non-canonical; parsing canonicalizes them.  Serialization is
-canonical (sorted keys, canonical bases, trailing newline), so that
-serialize -> parse -> serialize is byte-identical.
+Rationals travel as JSON integers or as strings "p/q" (or "p") of ASCII
+digits, sign on the numerator, nonzero denominator; parsing accepts nothing
+else.  Subspace bases may arrive non-canonical; parsing canonicalizes them.
+Serialization is canonical (sorted keys, canonical bases, trailing newline),
+so that serialize -> parse -> serialize is byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 from .bundles import (
@@ -35,7 +38,7 @@ from .cohiggs import (
 from .endalg import TupleVarietyEqs
 from .errors import SchemaError
 from .fans import Cone, Fan
-from .linalg import Mat, Subspace, rat_from_str, rat_str
+from .linalg import Mat, Subspace, rat_str
 
 
 def dumps_canonical(obj) -> str:
@@ -53,11 +56,37 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _rat(a) -> Fraction:
-    """A JSON integer or "p/q" string; a JSON float is not an exact rational."""
-    _expect(_is_int(a) or isinstance(a, str),
-            f"entry {a!r} is not an integer or a 'p/q' string")
-    return rat_from_str(str(a))
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rat(a) -> tuple[int, int]:
+    """A JSON integer, or a string "p" or "p/q" of ASCII digits with an
+    optional sign on p and q nonzero, as the pair (p, q).
+
+    A JSON float is not an exact rational, and no other spelling (spaces,
+    decimals, exponents, underscores, other digits) is part of the schema.
+    """
+    if not isinstance(a, str):
+        _expect(_is_int(a), f"entry {a!r} is not an integer or a 'p/q' string")
+        return a, 1
+    m = _RATIONAL.fullmatch(a)
+    if m is not None:
+        p, q = m.groups("1")
+        try:
+            p, q = int(p), int(q)
+        except ValueError:  # more digits than int() converts
+            pass
+        else:
+            if q:
+                return p, q
+    raise ValueError(f"not a rational: {a!r}")
+
+
+def _integer_vector(row) -> list[int]:
+    """A row of schema rationals scaled by the lcm of its denominators."""
+    pairs = [_rat(a) for a in row]
+    den = lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +100,7 @@ def mat_from_obj(obj, nrows: int | None = None, ncols: int | None = None) -> Mat
     _expect(isinstance(obj, list) and all(isinstance(r, list) for r in obj),
             "matrix must be a list of rows")
     try:
-        rows = [[_rat(a) for a in r] for r in obj]
+        rows = [[Fraction(*_rat(a)) for a in r] for r in obj]
         m = Mat(rows, ncols=ncols if not rows else None)
     except ValueError as exc:
         raise SchemaError(f"bad matrix: {exc}") from exc
@@ -177,7 +206,7 @@ def bundle_from_obj(obj, base_dir: Path | None = None) -> TVB:
                     and all(isinstance(row, list) for row in so["basis"]),
                     "step basis must be a list of rows")
             try:
-                vectors = [[_rat(a) for a in row] for row in so["basis"]]
+                vectors = [_integer_vector(row) for row in so["basis"]]
                 sub = Subspace(rank, vectors)
             except ValueError as exc:
                 raise SchemaError(f"bad step basis for ray {ray}: {exc}") from exc

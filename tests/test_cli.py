@@ -182,6 +182,23 @@ def test_validate_field_report_with_fractional_entries(tmp_path, run_cli):
     assert r.stderr == ""
 
 
+# A compatible rank-3 bundle on P^1 x P^2 adapted to one basis with fractional
+# and negative entries, given through non-canonical step bases (multiples, sums,
+# JSON integers next to "p/q" strings).  The reports were pinned before the
+# canonical subspace rows became integers, so rendering stays exact.
+FRACTIONAL_DIR = Path(__file__).parent / "golden" / "fractional_p1xp2"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("verb", ["check", "chern", "endalg"])
+def test_fractional_bundle_reports_are_pinned(tmp_path, run_cli, verb, fmt):
+    (tmp_path / "frac.bundle.json").write_bytes((FRACTIONAL_DIR / "bundle.json").read_bytes())
+    r = run_cli([verb, "frac.bundle.json", "--format", fmt], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (FRACTIONAL_DIR / f"{verb}.{'json' if fmt == 'json' else 'txt'}").read_text()
+    assert r.stderr == ""
+
+
 def test_chern_verb(tmp_path, run_cli, make_fixture):
     path = make_fixture(["tangent", "--variety", "pn", "--dim", "1"], tmp_path)
     r = run_cli(["chern", str(path), "--format", "json"], tmp_path)
@@ -368,6 +385,58 @@ def test_floats_and_bools_are_not_schema_numbers(
     r = run_cli([verb, str(path)], tmp_path)
     assert r.returncode == 1
     assert field in r.stderr
+
+
+def _set_first_one(o, entry):
+    """Replace the first entry "1" of a tangent bundle basis or a canonical tuple."""
+    if "tuple" in o:
+        o["tuple"][0][2][0] = entry
+    else:
+        o["filtrations"][0]["steps"][0]["basis"][0][0] = entry
+
+
+RATIONAL_CASES = [
+    ("check", "tangent", "bad step basis for ray 0"),
+    ("validate-field", "canonical", "bad matrix"),
+]
+
+
+@pytest.mark.parametrize("verb, kind, context", RATIONAL_CASES, ids=["check", "validate-field"])
+@pytest.mark.parametrize(
+    "entry",
+    ["3.5", "1e3", "1_000", "١", "１", " 1", "1 ", "1\n", "+ 1", "--1", "1/-2",
+     "1/+2", "1/0", "0x1", "", "1/2/3", "/2", "9" * 5000, "1e99999999"],
+)
+def test_entries_outside_the_rational_grammar_exit_1(
+    tmp_path, run_cli, make_fixture, verb, kind, context, entry
+):
+    path = make_fixture([kind, "--variety", "pn", "--dim", "2"], tmp_path)
+    obj = json.loads(path.read_text())
+    _set_first_one(obj, entry)
+    path.write_text(json.dumps(obj))
+    r = run_cli([verb, str(path)], tmp_path)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert f"error: {context}: not a rational: {entry!r}" in r.stderr
+
+
+@pytest.mark.parametrize("verb, kind, context", RATIONAL_CASES, ids=["check", "validate-field"])
+@pytest.mark.parametrize("entry", [1, "+1", "01", "2/2", "+3/3", "0001/001"])
+def test_spellings_inside_the_rational_grammar_give_the_same_report(
+    tmp_path, run_cli, make_fixture, verb, kind, context, entry
+):
+    path = make_fixture([kind, "--variety", "pn", "--dim", "2"], tmp_path)
+    args = [verb, str(path), "--format", "json"]
+    plain = run_cli(args, tmp_path)
+    obj = json.loads(path.read_text())
+    _set_first_one(obj, entry)
+    path.write_text(json.dumps(obj))
+    respelled = run_cli(args, tmp_path)
+    assert plain.returncode == respelled.returncode == 0
+    reports = [json.loads(r.stdout) for r in (plain, respelled)]
+    for report in reports:
+        del report["inputs"]
+    assert reports[0] == reports[1]
 
 
 def test_example_bad_dim_exits_1(tmp_path, run_cli):

@@ -2,21 +2,25 @@
 
 ``reference_rref_rows`` is the Fraction Gauss-Jordan that ``linalg._rref_rows``
 used before elimination moved to integer rows; it lives here only as a
-reference.  The ``reference_*`` subspace operations are built on it the way
-the library built them before (the intersection from the stacked
-n x (dim s + dim t) kernel), and sympy's ``Matrix.rref``/``nullspace`` are a
-second, independent check.  The inputs cover non-integer rationals, negative
-entries, zero rows and columns, 0 x n and n x 0 shapes, and full, zero, equal
-and nested subspaces.  Every ``Mat`` and ``Subspace`` built through the
-internal constructors must hold only ``Fraction`` entries and equal the one
-the public, coercing constructors build from the same rows.  The rational
-string parser, which tries ``int`` first, is compared with ``Fraction``'s own
-parser on arbitrary text.
+reference.  ``_rref_rows`` now returns the canonical integer form: each
+reduced row scaled to a primitive integer vector with a positive pivot, which
+``primitive_rows`` builds from the reference.  The ``reference_*`` subspace
+operations are built on it the way the library built them before (the
+intersection from the stacked n x (dim s + dim t) kernel), and sympy's
+``Matrix.rref``/``nullspace`` are a second, independent check.  The inputs
+cover non-integer rationals, negative entries, zero rows and columns, 0 x n
+and n x 0 shapes, and full, zero, equal and nested subspaces.  Every ``Mat``
+built through the internal constructor must hold only ``Fraction`` entries,
+every ``Subspace`` only canonical integer rows with an exact ``Fraction``
+view, and each must equal the one the public, coercing constructors build
+from the same rows.  The rational string parser, which tries ``int`` first,
+is compared with ``Fraction``'s own parser on arbitrary text.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import sympy
 from hypothesis import example, given, settings
@@ -26,6 +30,7 @@ from toric_cohiggs.linalg import (
     Mat,
     Subspace,
     _rref_rows,
+    _span,
     annihilator,
     complement_within,
     intersect,
@@ -62,6 +67,33 @@ def reference_rref_rows(rows):
         if lead == len(m):
             break
     return m, pivots
+
+
+def primitive_row(row):
+    """A rational row times the positive scalar that makes it a primitive integer vector."""
+    den = lcm(*(a.denominator for a in row))
+    ints = [int(a * den) for a in row]
+    g = gcd(*ints)
+    return [a // g for a in ints] if g else ints
+
+
+def primitive_rows(reduced):
+    """The reference's rows in the canonical integer form (zero rows stay zero)."""
+    return [primitive_row(r) for r in reduced]
+
+
+def fraction_view(rows, pivots):
+    """Integer reduced rows divided by their pivots; zero rows stay zero."""
+    out = [[Fraction(a, r[p]) for a in r] for r, p in zip(rows, pivots)]
+    return out + [[Fraction(a) for a in r] for r in rows[len(pivots):]]
+
+
+def assert_integer_rows(rows, pivots):
+    """Rows of exact ints; pivot rows primitive with a positive pivot, the rest zero."""
+    assert all(type(a) is int for r in rows for a in r)
+    for r, p in zip(rows, pivots):
+        assert r[p] > 0 and gcd(*r) == 1
+    assert not any(a for r in rows[len(pivots):] for a in r)
 
 
 def reference_basis(rows):
@@ -213,8 +245,11 @@ def only_fractions(rows) -> bool:
 
 def assert_trusted_subspace(s: Subspace):
     assert only_fractions(s.basis)
+    assert isinstance(s.rows, tuple) and all(isinstance(r, tuple) for r in s.rows)
+    assert_integer_rows(s.rows, s.pivots)
     assert s == Subspace(s.ambient_dim, s.basis)
     assert s.pivots == tuple(next(j for j, a in enumerate(r) if a) for r in s.basis)
+    assert [list(r) for r in s.basis] == fraction_view(s.rows, s.pivots)
 
 
 def assert_trusted_mat(m: Mat):
@@ -230,26 +265,39 @@ def assert_trusted_mat(m: Mat):
 @given(matrices(max_rows=6, max_cols=6))
 def test_rref_rows_matches_fraction_reference_and_sympy(m):
     reduced, pivots = _rref_rows(m.rows)
-    assert (reduced, pivots) == reference_rref_rows(m.rows)
-    assert all(type(a) is Fraction for r in reduced for a in r)
+    ref_reduced, ref_pivots = reference_rref_rows(m.rows)
+    assert pivots == ref_pivots
+    assert reduced == primitive_rows(ref_reduced)
+    assert_integer_rows(reduced, pivots)
     assert len(reduced) == m.nrows
-    assert (reduced, pivots) == (sympy_rref(m.rows, m.ncols) if m.rows else ([], []))
+    assert fraction_view(reduced, pivots) == ref_reduced
+    assert (ref_reduced, ref_pivots) == (sympy_rref(m.rows, m.ncols) if m.rows else ([], []))
+    # integer input rows in the same directions reduce to the same rows
+    assert _rref_rows([primitive_row(r) for r in m.rows]) == (reduced, pivots)
     assert_trusted_mat(rref(m))
+    assert [list(r) for r in rref(m).rows] == ref_reduced
 
 
 def test_rref_rows_shapes_without_entries():
     assert _rref_rows([]) == ([], [])
     assert _rref_rows([[], []]) == ([[], []], [])
-    zero_rows = [[Fraction(0)] * 3] * 2
-    assert _rref_rows(zero_rows) == (zero_rows, [])
+    reduced, pivots = _rref_rows([[Fraction(0)] * 3] * 2)
+    assert (reduced, pivots) == ([[0, 0, 0], [0, 0, 0]], [])
+    assert_integer_rows(reduced, pivots)
     assert rref(Mat([], ncols=4)) == Mat([], ncols=4)
+    assert_trusted_mat(rref(Mat([[0, 0, 0]] * 2)))
 
 
 def test_rref_rows_large_entries():
     big = Fraction(10**30 + 7, 3**40)
     rows = [[big, Fraction(1), Fraction(-2, 3)], [Fraction(5), big * big, Fraction(1, 7)],
             [big, Fraction(0), big]]
-    assert _rref_rows(rows) == reference_rref_rows(rows)
+    for rows in (rows, rows[:2], [rows[0], [2 * a for a in rows[0]], rows[1]]):
+        reduced, pivots = _rref_rows(rows)
+        ref_reduced, ref_pivots = reference_rref_rows(rows)
+        assert (reduced, pivots) == (primitive_rows(ref_reduced), ref_pivots)
+        assert_integer_rows(reduced, pivots)
+        assert fraction_view(reduced, pivots) == ref_reduced
 
 
 @settings(max_examples=120, deadline=None)
@@ -313,6 +361,32 @@ def test_annihilator_matches_references(s):
     assert_trusted_subspace(ann)
 
 
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_rows=5, max_cols=5))
+def test_subspace_constructions_agree(m):
+    """Fraction rows, integer rows and the internal span give one canonical value."""
+    n = m.ncols
+    spaces = [
+        Subspace(n, m.rows),
+        Subspace(n, [primitive_row(r) for r in m.rows]),
+        Subspace(n, [[str(a) for a in r] for r in m.rows]),
+        _span(n, m.rows),
+        _span(n, [primitive_row(r) for r in m.rows]),
+    ]
+    basis = reference_basis(m.rows)
+    if basis == tuple(tuple(r) for r in Mat.identity(n).rows):
+        spaces.append(Subspace.full(n))
+    if not basis:
+        spaces.append(Subspace.zero(n))
+    for s in spaces:
+        assert_trusted_subspace(s)
+        assert s == spaces[0] and hash(s) == hash(spaces[0])
+        assert s.basis == basis
+        assert s.rows == tuple(tuple(primitive_row(r)) for r in basis)
+        assert s.pivots == spaces[0].pivots
+        assert s.dim == len(basis)
+
+
 def test_shared_zero_and_full_spaces_are_canonical():
     for n in range(5):
         assert Subspace.zero(n) is Subspace.zero(n)
@@ -320,6 +394,9 @@ def test_shared_zero_and_full_spaces_are_canonical():
         assert Subspace.full(n) == Subspace(n, Mat.identity(n).rows)
         assert_trusted_subspace(Subspace.zero(n))
         assert_trusted_subspace(Subspace.full(n))
+        assert hash(Subspace.full(n)) == hash(Subspace(n, Mat.identity(n).rows))
+        assert Subspace.full(n).rows == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert Subspace.zero(n).rows == Subspace.zero(n).basis == ()
 
 
 # --------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .cohiggs import (
 )
 from .endalg import (
     FilteredEndAlgebra,
-    StructureConstants,
     TupleVarietyEqs,
     center,
     filtered_endos,

@@ -161,7 +161,7 @@ def _text_lines(obj, indent=0) -> list[str]:
 
 
 def _emit(report: dict, args) -> None:
-    text = serialize.dumps_canonical(report)
+    text = serialize.dumps_canonical(report) if args.output or args.format == "json" else None
     if args.output:
         Path(args.output).write_text(text)
     if args.format == "json":

@@ -40,7 +40,7 @@ from .endalg import (
     tuple_variety_equations,
 )
 from .fans import Character, Cone, Fan, dual_basis
-from .linalg import Mat, Q, _integer_commute, commutes, preserves
+from .linalg import Mat, Q, _integer_commute, as_vec, commutes, preserves
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def validate_field(v: TVB, mats: Sequence[Mat]) -> FieldVerdict:
 def field_from_vector_field(v: TVB, coeffs: Sequence) -> ToricCoHiggsField:
     """The scalar field with entries a_j · Id; always valid."""
     n = v.fan.n
-    coeffs = [Q(c) for c in coeffs]
+    coeffs = as_vec(coeffs)
     if len(coeffs) != n:
         raise ValueError(f"{len(coeffs)} coefficients for lattice rank {n}")
     mats = tuple(Mat.identity(v.r).scale(c) for c in coeffs)

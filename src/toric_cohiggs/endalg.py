@@ -2,14 +2,15 @@
 
 A matrix A is a filtered endomorphism when A·E(i) ⊆ E(i) for every ray
 filtration value E(i); these form a unital associative matrix algebra.  The
-module computes a canonical basis of that algebra, its center and structure
-constants, and the bilinear equations cutting out commuting n-tuples of its
-elements (the classification datum for invariant co-Higgs fields).
+module computes that algebra, its center and structure constants, and the
+bilinear equations cutting out commuting n-tuples of its elements (the
+classification datum for invariant co-Higgs fields).
 
-The basis is a reduced row echelon basis in Q^(r²), so an element's
-coordinates are its entries at the basis pivots.  Each algebra computes its
-structure tensor once; commutativity, the center and the tuple equations all
-derive from its antisymmetrised forms.
+The algebra is its canonical subspace of Q^(r²) (matrices vectorized
+row-major), so an element's coordinates are its entries at the pivots.  Each
+algebra computes its structure tensor once, by one sparse integer product per
+pair of the subspace's primitive rows; commutativity, the center and the
+tuple equations all derive from its antisymmetrised forms.
 
 The algebra is handled as a linear solution space, not as its unit group:
 invertibility is an open condition on top of the linear data and is reported,
@@ -28,22 +29,33 @@ from .errors import InternalError
 from .linalg import (  # noqa: F401
     Mat,
     Subspace,
+    _product,
     kernel,
     solve_linear,
     solve_mat_constraints,
 )
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class FilteredEndAlgebra:
-    """Canonical basis of {A : A preserves every filtration step subspace}."""
+    """{A : A preserves every filtration step} as its canonical subspace of Q^(r²)."""
 
     bundle: TVB
-    basis: tuple[Mat, ...]
+    space: Subspace
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.space.dim
+
+    @cached_property
+    def basis(self) -> tuple[Mat, ...]:
+        """The subspace's reduced row echelon basis as r x r matrices."""
+        r = self.bundle.r
+        return tuple(
+            Mat._trusted([v[i * r:(i + 1) * r] for i in range(r)], r) for v in self.space.basis
+        )
 
     def element(self, coords) -> Mat:
         """The algebra element with the given coordinates in the basis."""
@@ -54,7 +66,7 @@ class FilteredEndAlgebra:
         return out
 
     @cached_property
-    def structure(self) -> "StructureConstants":
+    def structure(self) -> tuple:
         """The structure tensor, computed once and shared by every derived datum."""
         return structure_constants(self)
 
@@ -64,8 +76,8 @@ class FilteredEndAlgebra:
 
         B_k[a][b] = c[a][b][k] - c[b][a][k], from the structure tensor.
         """
-        c, d = self.structure.c, self.dim
-        forms = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+        c, d = self.structure, self.dim
+        forms = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
         for a in range(d):
             for b in range(a):
                 if c[a][b] != c[b][a]:
@@ -75,30 +87,20 @@ class FilteredEndAlgebra:
 
 
 def filtered_endos(v: TVB) -> FilteredEndAlgebra:
-    """Solve the membership constraints A·w ∈ V over all filtration steps.
+    """Solve the membership constraints A·V ⊆ V over all filtration steps.
 
-    Step subspaces repeated across rays contribute their constraints once.
-    Compatibility of the bundle is not required; the constraint system is
-    meaningful for arbitrary filtration data.
+    Each distinct step subspace constrains once; zero and full spaces
+    constrain nothing.  Compatibility of the bundle is not required; the
+    constraint system is meaningful for arbitrary filtration data.
     """
-    constraints = []
-    seen = set()
-    for filt in v.filts:
-        for _, sub in filt.steps:
-            if sub.dim in (0, v.r):
-                continue  # zero and full spaces constrain nothing
-            if sub in seen:
-                continue
-            seen.add(sub)
-            for w in sub.rows:
-                constraints.append((w, sub))
-    basis = solve_mat_constraints(constraints, v.r)
-    return FilteredEndAlgebra(v, tuple(basis))
+    steps = dict.fromkeys(
+        sub for filt in v.filts for _, sub in filt.steps if 0 < sub.dim < v.r
+    )
+    return FilteredEndAlgebra(v, solve_mat_constraints(steps, v.r))
 
 
 def is_commutative(alg: FilteredEndAlgebra) -> bool:
-    c = alg.structure.c
-    return all(c[a][b] == c[b][a] for a in range(alg.dim) for b in range(a))
+    return not alg.commutator_forms
 
 
 def center(alg: FilteredEndAlgebra) -> list[Mat]:
@@ -110,42 +112,29 @@ def center(alg: FilteredEndAlgebra) -> list[Mat]:
     return [alg.element(x) for x in coords.basis]
 
 
-@dataclass(frozen=True)
-class StructureConstants:
-    """Tensor c with A_a · A_b = sum_d c[a][b][d] A_d in the algebra basis."""
+def structure_constants(alg: FilteredEndAlgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """Tensor c with A_a · A_b = sum_k c[a][b][k] A_k; fails if not closed.
 
-    c: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-    def product_coords(self, a: int, b: int) -> tuple[Fraction, ...]:
-        return self.c[a][b]
-
-
-def structure_constants(alg: FilteredEndAlgebra) -> StructureConstants:
-    """Exact coefficients of every basis product; fails if not closed.
-
-    The basis is in reduced row echelon form as vectors of Q^(r²), so the
-    coordinates of a product are its entries at the basis pivots.  Rebuilding
-    each product from them checks closure: filtered endomorphism algebras are
-    multiplicatively closed, so a violation signals an internal bug.
+    The basis element A_a is the subspace's primitive integer row R_a divided
+    by its pivot entry d_a, so A_a · A_b = R_a R_b / (d_a d_b), and its
+    coordinates are the entries of R_a R_b at the pivots p_k divided by
+    d_a d_b.  Filtered endomorphism algebras are multiplicatively closed, so
+    an integer product outside the subspace signals an internal bug.
     """
-    vecs = [a.vectorize() for a in alg.basis]
-    pivots = [next(i for i, x in enumerate(v) if x) for v in vecs]
-    supports = [[(i, x) for i, x in enumerate(v) if x] for v in vecs]
+    space, r = alg.space, alg.bundle.r
+    mats = [[row[i * r:(i + 1) * r] for i in range(r)] for row in space.rows]
+    dens = [row[p] for row, p in zip(space.rows, space.pivots)]
     tensor = []
-    for a in alg.basis:
+    for x, dx in zip(mats, dens):
         row = []
-        for b in alg.basis:
-            rest = list((a @ b).vectorize())
-            coords = tuple(rest[p] for p in pivots)
-            for c, support in zip(coords, supports):
-                if c:
-                    for i, x in support:
-                        rest[i] -= c * x
-            if any(rest):
+        for y, dy in zip(mats, dens):
+            prod = [e for prow in _product(x, y, r, 0) for e in prow]
+            if not space.contains_vector(prod):
                 raise InternalError("algebra basis is not closed under multiplication")
-            row.append(coords)
+            den = dx * dy
+            row.append(tuple(Fraction(prod[p], den) if prod[p] else _ZERO for p in space.pivots))
         tensor.append(tuple(row))
-    return StructureConstants(tuple(tensor))
+    return tuple(tensor)
 
 
 @dataclass(frozen=True)

@@ -27,13 +27,19 @@ scaling.  Each matrix computes its integer form (D, D·A), with D the lcm of
 its denominators, once.  For commutation, (D_a a)(D_b b) - (D_b b)(D_a a) =
 D_a D_b [a, b], so the integer products agree iff a and b commute.  For
 invariance, a·w lies in s iff (D a)·w does, and membership of an integer
-vector is its residue against the integer rows of s.
+vector is its residue against the integer rows of s.  Every matrix product,
+over Z or Q, is the one zero-skipping ``_product``.
+
+Strings follow the schema grammar: "p" or "p/q" of ASCII digits, sign on p,
+q nonzero.  Nothing else is parsed, so no string reaches ``Fraction``'s own
+parser, which expands an exponent such as "1e99999999" eagerly.
 
 All values are immutable after construction and all functions are pure.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -47,36 +53,46 @@ _ZERO = Q(0)
 _ONE = Q(1)
 
 
-def as_vec(entries: Iterable) -> Vec:
-    """Coerce an iterable of ints / strings / Fractions to a rational vector.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-    A Fraction is immutable and already in lowest terms, so it is kept as it is.
-    """
-    return tuple(x if type(x) is Fraction else Q(x) for x in entries)
+
+def _rational_pair(s: str) -> tuple[int, int]:
+    """A string of the grammar (see the module docstring) as the pair (p, q)."""
+    m = _RATIONAL.fullmatch(s)
+    if m is not None:
+        p, q = m.groups("1")
+        try:
+            p, q = int(p), int(q)
+        except ValueError:  # more digits than int() converts
+            pass
+        else:
+            if q:
+                return p, q
+    raise ValueError(f"not a rational: {s!r}")
+
+
+def rat_from_str(s: str) -> Fraction:
+    """Parse "p/q" (sign on the numerator) or a bare integer string."""
+    return Fraction(*_rational_pair(s))
+
+
+def _rational(x) -> Fraction:
+    """An int, Fraction or grammar string as a Fraction; a Fraction is kept as it is."""
+    if type(x) is Fraction:
+        return x
+    return rat_from_str(x) if isinstance(x, str) else Fraction(x)
+
+
+def as_vec(entries: Iterable) -> Vec:
+    """Coerce an iterable of ints / strings / Fractions to a rational vector."""
+    return tuple(map(_rational, entries))
 
 
 def rat_str(x: Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
     if type(x) is not Fraction:
-        x = Q(x)
+        x = _rational(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def rat_from_str(s: str) -> Fraction:
-    """Parse "p/q" (sign on the numerator) or a bare integer string.
-
-    ``int`` accepts no string that ``Fraction`` rejects and reads the same
-    value, so integer strings take that faster path.
-    """
-    t = s.strip()
-    try:
-        return Fraction(int(t))
-    except ValueError:
-        pass
-    try:
-        return Q(t)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {s!r}") from exc
 
 
 class Mat:
@@ -156,23 +172,13 @@ class Mat:
         return Mat._trusted([[-a for a in r] for r in self.rows], self.ncols)
 
     def scale(self, c) -> "Mat":
-        c = Q(c)
+        c = _rational(c)
         return Mat._trusted([[c * a for a in r] for r in self.rows], self.ncols)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        # row times matrix, skipping zero entries on either side
-        out = []
-        for r in self.rows:
-            acc = [_ZERO] * other.ncols
-            for a, brow in zip(r, other.rows):
-                if a:
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] += a * b
-            out.append(acc)
-        return Mat._trusted(out, other.ncols)
+        return Mat._trusted(_product(self.rows, other.rows, other.ncols, _ZERO), other.ncols)
 
     def mul_vec(self, v: Sequence) -> Vec:
         v = as_vec(v)
@@ -220,17 +226,31 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols}: {body})"
 
 
+def _product(x: Sequence[Sequence], y: Sequence[Sequence], ncols: int, zero) -> list[list]:
+    """Rows x times rows y (ncols columns) over ints or Fractions, summing from ``zero``.
+
+    Zero entries are skipped on either side: basis matrices are mostly zeros.
+    """
+    out = []
+    for r in x:
+        acc = [zero] * ncols
+        for a, brow in zip(r, y):
+            if a:
+                for j, b in enumerate(brow):
+                    if b:
+                        acc[j] += a * b
+        out.append(acc)
+    return out
+
+
 def commutator(a: Mat, b: Mat) -> Mat:
     return a @ b - b @ a
 
 
 def _integer_commute(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> bool:
-    """Whether x y = y x for square integer matrices of one size, row by row."""
-    xcols, ycols = list(zip(*x)), list(zip(*y))
-    return all(
-        [sum(map(mul, xi, c)) for c in ycols] == [sum(map(mul, yi, c)) for c in xcols]
-        for xi, yi in zip(x, y)
-    )
+    """Whether x y = y x for square integer matrices of one size."""
+    n = len(x)
+    return _product(x, y, n, 0) == _product(y, x, n, 0)
 
 
 def _square_of_size(a: Mat, n: int) -> None:
@@ -594,23 +614,21 @@ def solve_linear(a: Mat, b: Sequence) -> Vec | None:
     return tuple(x)
 
 
-def solve_mat_constraints(
-    constraints: Sequence[tuple[Sequence, Subspace]], r: int
-) -> list[Mat]:
-    """Canonical basis of {A in Q^{r x r} : A·w ∈ V for every pair (w, V)}.
+def solve_mat_constraints(subspaces: Iterable[Subspace], r: int) -> Subspace:
+    """The subspace of Q^(r²) of matrices A, vectorized row-major, with
+    A·V ⊆ V for every V.
 
-    A is vectorized row-major into Q^(r^2); each constraint contributes the
-    conditions "every functional vanishing on V kills A·w", and the result is
-    the kernel of the stacked conditions, reshaped to matrices in
-    pivot-ascending order.
+    A·V ⊆ V iff every functional f vanishing on V kills A·w for every basis
+    row w of V; the coefficient of A[i][j] in f·(A w) is f_i w_j.  Each V
+    contributes those conditions from one annihilator, and the result is the
+    kernel of the stacked conditions, in canonical form.
     """
     rows = []
-    for w, v in constraints:
-        w = _integer_row(tuple(w))  # A·w ∈ V holds for w iff for any nonzero multiple
-        if len(w) != r or v.ambient_dim != r:
+    for v in subspaces:
+        if v.ambient_dim != r:
             raise ValueError("constraint dimension mismatch")
-        for f in annihilator(v).rows:
-            # coefficient of A[i][j] in f·(A w) is f_i * w_j
-            rows.append([fi * wj for fi in f for wj in w])
-    ker = _kernel_of_rows(rows, r * r)
-    return [Mat._trusted([v[i * r:(i + 1) * r] for i in range(r)], r) for v in ker.basis]
+        ann = annihilator(v).rows
+        for w in v.rows:
+            for f in ann:
+                rows.append([fi * wj for fi in f for wj in w])
+    return _kernel_of_rows(rows, r * r)

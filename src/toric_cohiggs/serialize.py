@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -38,7 +37,7 @@ from .cohiggs import (
 from .endalg import TupleVarietyEqs
 from .errors import SchemaError
 from .fans import Cone, Fan
-from .linalg import Mat, Subspace, rat_str
+from .linalg import Mat, Subspace, _rational_pair, rat_str
 
 
 def dumps_canonical(obj) -> str:
@@ -56,30 +55,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
 def _rat(a) -> tuple[int, int]:
-    """A JSON integer, or a string "p" or "p/q" of ASCII digits with an
-    optional sign on p and q nonzero, as the pair (p, q).
+    """A JSON integer, or a string "p" or "p/q" of the rational grammar
+    (``linalg.rat_from_str``), as the pair (p, q).
 
-    A JSON float is not an exact rational, and no other spelling (spaces,
-    decimals, exponents, underscores, other digits) is part of the schema.
+    A JSON float is not an exact rational.
     """
     if not isinstance(a, str):
         _expect(_is_int(a), f"entry {a!r} is not an integer or a 'p/q' string")
         return a, 1
-    m = _RATIONAL.fullmatch(a)
-    if m is not None:
-        p, q = m.groups("1")
-        try:
-            p, q = int(p), int(q)
-        except ValueError:  # more digits than int() converts
-            pass
-        else:
-            if q:
-                return p, q
-    raise ValueError(f"not a rational: {a!r}")
+    return _rational_pair(a)
 
 
 def _integer_vector(row) -> list[int]:

@@ -310,9 +310,11 @@ def test_result_over_digit_limit_exits_1(tmp_path, run_cli):
     }
     path = tmp_path / "big.bundle.json"
     path.write_text(json.dumps(bundle))
-    r = run_cli(["check", str(path)], tmp_path)
-    assert r.returncode == 1
-    assert "the input's numbers are too large to report" in r.stderr
+    for fmt in ("json", "text"):
+        r = run_cli(["check", str(path), "--format", fmt], tmp_path)
+        assert r.returncode == 1
+        assert "the input's numbers are too large to report" in r.stderr
+        assert r.stdout == ""
 
 
 def test_internal_value_error_exits_2(tmp_path, run_cli, make_fixture, monkeypatch):

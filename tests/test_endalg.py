@@ -122,17 +122,18 @@ def test_center_contains_scalars_on_random_bundles():
 
 def test_structure_constants_identity_algebra():
     alg = filtered_endos(tangent_bundle(fan_pn(2)))
-    sc = structure_constants(alg)
-    assert sc.c == (((Q(1),),),)
+    assert structure_constants(alg) == (((Q(1),),),)
+    assert alg.structure == structure_constants(alg)
 
 
 def test_structure_constants_diagonal_algebra():
     alg = filtered_endos(tangent_bundle(fan_product(fan_pn(1), fan_pn(1))))
-    sc = structure_constants(alg)
+    c = structure_constants(alg)
     # e11*e11 = e11, e11*e22 = 0
-    assert sc.product_coords(0, 0) == (Q(1), Q(0))
-    assert sc.product_coords(0, 1) == (Q(0), Q(0))
-    assert sc.product_coords(1, 1) == (Q(0), Q(1))
+    assert c[0][0] == (Q(1), Q(0))
+    assert c[0][1] == (Q(0), Q(0))
+    assert c[1][1] == (Q(0), Q(1))
+    assert all(type(x) is Q for pair in c for coords in pair for x in coords)
 
 
 def test_structure_constants_reproduce_products():
@@ -144,11 +145,11 @@ def test_structure_constants_reproduce_products():
         alg = filtered_endos(v)
         if alg.dim == 0:
             continue
-        sc = structure_constants(alg)
+        c = structure_constants(alg)
         for _ in range(4):
             a = rng.randrange(alg.dim)
             b = rng.randrange(alg.dim)
-            rebuilt = alg.element(sc.product_coords(a, b))
+            rebuilt = alg.element(c[a][b])
             assert rebuilt == alg.basis[a] @ alg.basis[b]
             checked += 1
 

@@ -1,12 +1,17 @@
 """Exact linear algebra: canonical forms, lattice operations, constraint solver."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toric_cohiggs
 from toric_cohiggs import (
     Mat,
     Subspace,
@@ -240,59 +245,57 @@ def test_annihilator_pairs_to_zero():
 # ---------------------------------------------------------------------------
 # the matrix constraint solver
 
+def _matrices(space, r):
+    return [Mat.from_vec(v, r, r) for v in space.basis]
+
+
 def test_empty_constraints_give_full_endomorphisms():
     sols = solve_mat_constraints([], 2)
-    assert len(sols) == 4
-    assert sols[0] == Mat.elementary(2, 2, 0, 0)
+    assert sols == Subspace.full(4)
+    assert _matrices(sols, 2)[0] == Mat.elementary(2, 2, 0, 0)
 
 
 def test_axis_constraints_give_diagonals():
-    cons = [
-        ((1, 0), Subspace(2, [(1, 0)])),
-        ((0, 1), Subspace(2, [(0, 1)])),
-    ]
+    cons = [Subspace(2, [(1, 0)]), Subspace(2, [(0, 1)])]
     sols = solve_mat_constraints(cons, 2)
-    assert sols == [Mat([[1, 0], [0, 0]]), Mat([[0, 0], [0, 1]])]
+    assert _matrices(sols, 2) == [Mat([[1, 0], [0, 0]]), Mat([[0, 0], [0, 1]])]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_generic_lines_force_scalars(n):
     # n+1 lines: the axes and the all-ones direction, each mapped to itself
-    cons = []
-    for i in range(n):
-        e = tuple(int(j == i) for j in range(n))
-        cons.append((e, Subspace(n, [e])))
-    ones = (1,) * n
-    cons.append((ones, Subspace(n, [ones])))
+    cons = [Subspace(n, [tuple(int(j == i) for j in range(n))]) for i in range(n)]
+    cons.append(Subspace(n, [(1,) * n]))
     sols = solve_mat_constraints(cons, n)
-    assert sols == [Mat.identity(n)]
+    assert _matrices(sols, n) == [Mat.identity(n)]
 
 
 def test_solve_mat_constraints_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve_mat_constraints([((1, 0, 0), Subspace.full(2))], 2)
+        solve_mat_constraints([Subspace.full(3)], 2)
     with pytest.raises(ValueError):
-        solve_mat_constraints([((1, 0), Subspace.full(3))], 2)
+        solve_mat_constraints([Subspace(2, [(1, 0)]), Subspace(3, [(1, 0, 0)])], 2)
 
 
 def test_solutions_satisfy_constraints_and_redundancy_is_free():
     rng = random.Random(31)
     for _ in range(25):
         r = rng.randint(1, 3)
-        cons = []
-        for _ in range(rng.randint(0, 3)):
-            v = random_subspace(rng, r, rng.randint(0, r))
-            w = [rng.randint(-2, 2) for _ in range(r)]
-            if v.is_zero() and any(w):
-                continue  # A w in 0 forces nothing we want to test here
-            cons.append((w, v))
+        cons = [random_subspace(rng, r, rng.randint(0, r)) for _ in range(rng.randint(0, 3))]
         sols = solve_mat_constraints(cons, r)
-        for a in sols:
-            for w, v in cons:
-                assert v.contains_vector(a.mul_vec(w))
-        # linear independence of the output
-        vecs = [a.vectorize() for a in sols]
-        assert Subspace(r * r, vecs).dim == len(sols)
+        assert sols.ambient_dim == r * r
+        for a in _matrices(sols, r):
+            for v in cons:
+                for w in v.basis:
+                    assert v.contains_vector(a.mul_vec(w))
+        # every solution is found: each elementary matrix either satisfies
+        # the constraints or not, and the full solution space contains the
+        # ones that do
+        for i in range(r):
+            for j in range(r):
+                e = Mat.elementary(r, r, i, j)
+                if all(v.contains_vector(e.mul_vec(w)) for v in cons for w in v.basis):
+                    assert sols.contains_vector(e.vectorize())
         # adding a repeated constraint changes nothing
         if cons:
             again = solve_mat_constraints(cons + [cons[0]], r)
@@ -314,6 +317,28 @@ def test_rat_str_forms(value, expected):
 def test_rat_from_str_rejects_garbage():
     with pytest.raises(ValueError):
         rat_from_str("one half")
+
+
+def test_exponent_strings_are_rejected_at_once():
+    # Fraction's own parser expands 10**99999999 before it answers; the child
+    # process turns such a regression into a timeout instead of a hang
+    code = """if True:
+        import time
+        from toric_cohiggs import Mat, rat_from_str
+        for parse in (rat_from_str, lambda s: Mat([[s]])):
+            start = time.perf_counter()
+            try:
+                parse("1e99999999")
+            except ValueError as exc:
+                assert "not a rational" in str(exc), exc
+            else:
+                raise AssertionError("accepted")
+            assert time.perf_counter() - start < 1
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(toric_cohiggs.__file__).parents[1])}
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                       text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
 
 
 @settings(max_examples=80)

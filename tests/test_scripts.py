@@ -1,0 +1,39 @@
+"""The scripts under ``scripts/`` run against the current library.
+
+No other test imports them, so a library API change could break them
+unseen; and ``canonical_pair_experiment.py --write`` would rewrite the golden
+file from drifted code, so its cases must equal the golden ones.  Each
+script runs in-process through its ``main``, never with ``--write``.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("args", [[], ["--json"]])
+def test_classify_survey_runs(args, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["classify_survey.py", *args])
+    assert load_script("classify_survey").main() == 0
+    assert "tangent_pn2" in capsys.readouterr().out
+
+
+def test_canonical_pair_experiment_runs_and_matches_golden(monkeypatch, capsys):
+    script = load_script("canonical_pair_experiment")
+    monkeypatch.setattr(sys, "argv", ["canonical_pair_experiment.py"])
+    assert script.main() == 0
+    assert "wrote" not in capsys.readouterr().out
+    golden = json.loads((ROOT / "tests" / "golden" / "canonical_pair.json").read_text())
+    assert script.run_cases() == golden["cases"]

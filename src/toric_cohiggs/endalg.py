@@ -7,10 +7,12 @@ bilinear equations cutting out commuting n-tuples of its elements (the
 classification datum for invariant co-Higgs fields).
 
 The algebra is its canonical subspace of Q^(r²) (matrices vectorized
-row-major), so an element's coordinates are its entries at the pivots.  Each
-algebra computes its structure tensor once, by one sparse integer product per
-pair of the subspace's primitive rows; commutativity, the center and the
-tuple equations all derive from its antisymmetrised forms.
+row-major), so an element's coordinates are its entries at the pivots; the
+basis element A_a is the primitive integer row R_a over its pivot entry d_a.
+One integer product table P_ab = R_a R_b at the pivots is computed per
+algebra, multiplying a pair only when a nonzero column of R_a meets a
+nonzero row of R_b (otherwise every term is zero).  Commutativity, the tuple
+equations and the center's integer system all read its differences.
 
 The algebra is handled as a linear solution space, not as its unit group:
 invertibility is an open condition on top of the linear data and is reported,
@@ -22,13 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .bundles import TVB
 from .errors import InternalError
-# solve_linear is re-exported: the benchmark's trace wraps endalg.solve_linear.
+# solve_linear and kernel are re-exported: the benchmark's trace wraps them here.
 from .linalg import (  # noqa: F401
     Mat,
     Subspace,
+    _kernel_of_rows,
     _product,
     kernel,
     solve_linear,
@@ -36,6 +40,10 @@ from .linalg import (  # noqa: F401
 )
 
 _ZERO = Fraction(0)
+
+
+def _pivot_entries(space: Subspace) -> list[int]:
+    return [row[p] for row, p in zip(space.rows, space.pivots)]
 
 
 @dataclass(frozen=True)
@@ -59,30 +67,56 @@ class FilteredEndAlgebra:
 
     def element(self, coords) -> Mat:
         """The algebra element with the given coordinates in the basis."""
-        out = Mat.zero(self.bundle.r, self.bundle.r)
-        for c, a in zip(coords, self.basis):
+        r, out = self.bundle.r, [_ZERO] * self.space.ambient_dim
+        for c, v in zip(coords, self.space.basis):
             if c:
-                out = out + a.scale(c)
-        return out
+                out = [o + c * e if e else o for o, e in zip(out, v)]
+        return Mat._trusted([out[i * r:(i + 1) * r] for i in range(r)], r)
 
     @cached_property
-    def structure(self) -> tuple:
-        """The structure tensor, computed once and shared by every derived datum."""
-        return structure_constants(self)
+    def products(self) -> tuple[tuple[tuple[int, ...] | None, ...], ...]:
+        """Entry (a, b) is R_a R_b at the pivots, or None when the product is zero.
+
+        Filtered endomorphism algebras are multiplicatively closed, so a
+        nonzero product outside the subspace signals an internal bug.
+        """
+        space, r, d = self.space, self.bundle.r, self.dim
+        mats = [[row[i * r:(i + 1) * r] for i in range(r)] for row in space.rows]
+        cols = [{j for mrow in m for j, e in enumerate(mrow) if e} for m in mats]
+        rows = [{i for i, mrow in enumerate(m) if any(mrow)} for m in mats]
+        table = [[None] * d for _ in range(d)]
+        for a in range(d):
+            for b in range(d):
+                if cols[a].isdisjoint(rows[b]):
+                    continue
+                prod = [e for prow in _product(mats[a], mats[b], r, 0) for e in prow]
+                if any(space._residue(prod)[0]):
+                    raise InternalError("algebra basis is not closed under multiplication")
+                if any(prod):
+                    table[a][b] = tuple(prod[p] for p in space.pivots)
+        return tuple(map(tuple, table))
+
+    def _differences(self):
+        """(a, b, k, P_ab[k] - P_ba[k]) for b < a and each nonzero difference."""
+        p, zero = self.products, (0,) * self.dim
+        for a in range(self.dim):
+            for b in range(a):
+                if p[a][b] != p[b][a]:
+                    for k, (x, y) in enumerate(zip(p[a][b] or zero, p[b][a] or zero)):
+                        if x != y:
+                            yield a, b, k, x - y
 
     @cached_property
     def commutator_forms(self) -> tuple[Mat, ...]:
         """The nonzero forms B_k with [x·A, y·A] = sum_k B_k(x, y) A_k.
 
-        B_k[a][b] = c[a][b][k] - c[b][a][k], from the structure tensor.
+        B_k[a][b] = (P_ab[k] - P_ba[k]) / (d_a d_b), with P the product table.
         """
-        c, d = self.structure, self.dim
+        d, dens = self.dim, _pivot_entries(self.space)
         forms = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
-        for a in range(d):
-            for b in range(a):
-                if c[a][b] != c[b][a]:
-                    for k, (x, y) in enumerate(zip(c[a][b], c[b][a])):
-                        forms[k][a][b], forms[k][b][a] = x - y, y - x
+        for a, b, k, diff in self._differences():
+            forms[k][a][b] = f = Fraction(diff, dens[a] * dens[b])
+            forms[k][b][a] = -f
         return tuple(Mat._trusted(f, d) for f in forms if any(map(any, f)))
 
 
@@ -104,37 +138,32 @@ def is_commutative(alg: FilteredEndAlgebra) -> bool:
 
 
 def center(alg: FilteredEndAlgebra) -> list[Mat]:
-    """Basis of {Z in the algebra : [Z, A] = 0 for every basis element A}."""
-    d = alg.dim
-    # coordinates x with sum_b x_b [A_a, A_b] = 0 for all a: B_k(e_a, x) = 0
-    rows = [row for form in alg.commutator_forms for row in form.rows if any(row)]
-    coords = kernel(Mat._trusted(rows, d)) if rows else Subspace.full(d)
+    """Basis of {Z in the algebra : [Z, A] = 0 for every basis element A}.
+
+    Coordinates x with sum_b B_k[a][b] x_b = 0 for all k, a: row (k, a) times
+    d_a·L, L the lcm of the pivot entries, is (P_ab[k] - P_ba[k])·L/d_b over b.
+    """
+    d, dens = alg.dim, _pivot_entries(alg.space)
+    scale = [lcm(*dens) // e for e in dens]
+    rows: dict[tuple[int, int], list[int]] = {}
+    for a, b, k, diff in alg._differences():
+        rows.setdefault((k, a), [0] * d)[b] = diff * scale[b]
+        rows.setdefault((k, b), [0] * d)[a] = -diff * scale[a]
+    coords = _kernel_of_rows(list(rows.values()), d) if rows else Subspace.full(d)
     return [alg.element(x) for x in coords.basis]
 
 
 def structure_constants(alg: FilteredEndAlgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    """Tensor c with A_a · A_b = sum_k c[a][b][k] A_k; fails if not closed.
-
-    The basis element A_a is the subspace's primitive integer row R_a divided
-    by its pivot entry d_a, so A_a · A_b = R_a R_b / (d_a d_b), and its
-    coordinates are the entries of R_a R_b at the pivots p_k divided by
-    d_a d_b.  Filtered endomorphism algebras are multiplicatively closed, so
-    an integer product outside the subspace signals an internal bug.
-    """
-    space, r = alg.space, alg.bundle.r
-    mats = [[row[i * r:(i + 1) * r] for i in range(r)] for row in space.rows]
-    dens = [row[p] for row, p in zip(space.rows, space.pivots)]
-    tensor = []
-    for x, dx in zip(mats, dens):
-        row = []
-        for y, dy in zip(mats, dens):
-            prod = [e for prow in _product(x, y, r, 0) for e in prow]
-            if not space.contains_vector(prod):
-                raise InternalError("algebra basis is not closed under multiplication")
-            den = dx * dy
-            row.append(tuple(Fraction(prod[p], den) if prod[p] else _ZERO for p in space.pivots))
-        tensor.append(tuple(row))
-    return tuple(tensor)
+    """Tensor c with A_a · A_b = sum_k c[a][b][k] A_k: c[a][b][k] = P_ab[k] / (d_a d_b)."""
+    dens = _pivot_entries(alg.space)
+    zero = (_ZERO,) * alg.dim
+    return tuple(
+        tuple(
+            zero if prod is None else tuple(Fraction(e, da * db) if e else _ZERO for e in prod)
+            for prod, db in zip(line, dens)
+        )
+        for line, da in zip(alg.products, dens)
+    )
 
 
 @dataclass(frozen=True)
@@ -183,9 +212,9 @@ class TupleVarietyEqs:
 
 def tuple_variety_equations(alg: FilteredEndAlgebra, n: int) -> TupleVarietyEqs:
     """Equations for n-tuples of pairwise-commuting algebra elements."""
-    if n < 1:
-        raise ValueError("tuple length must be >= 1")
+    if n < 0:
+        raise ValueError("tuple length must be >= 0")
     d = alg.dim
-    if n == 1 or d == 0:
+    if n <= 1 or d == 0:
         return TupleVarietyEqs(n, d, ())
     return TupleVarietyEqs(n, d, alg.commutator_forms)

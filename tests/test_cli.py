@@ -190,7 +190,7 @@ FRACTIONAL_DIR = Path(__file__).parent / "golden" / "fractional_p1xp2"
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("verb", ["check", "chern", "endalg"])
+@pytest.mark.parametrize("verb", ["check", "chern", "endalg", "classify"])
 def test_fractional_bundle_reports_are_pinned(tmp_path, run_cli, verb, fmt):
     (tmp_path / "frac.bundle.json").write_bytes((FRACTIONAL_DIR / "bundle.json").read_bytes())
     r = run_cli([verb, "frac.bundle.json", "--format", fmt], tmp_path)
@@ -218,6 +218,25 @@ def test_endalg_verb(tmp_path, run_cli, make_fixture):
     assert report["commutative"] is True
     assert report["center_dim"] == 2
     assert report["tuple_equations"]["forms"] == []
+
+
+# A rank-2 bundle on the point fan (n = 0): no rays, so no filtrations, and
+# the algebra is all of End(Q^2).  Commuting 0-tuples carry no equations.
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("verb", ["endalg", "classify"])
+def test_point_fan_bundle_is_classified(tmp_path, run_cli, verb, fmt):
+    bundle = {"fan": {"n": 0, "rays": [], "max_cones": [[]]}, "rank": 2, "filtrations": []}
+    (tmp_path / "point.json").write_text(json.dumps(bundle))
+    r = run_cli([verb, "point.json", "--format", fmt], tmp_path)
+    assert (r.returncode, r.stderr) == (0, "")
+    if fmt == "text":
+        return
+    report = json.loads(r.stdout)
+    assert report["dim_h" if verb == "classify" else "dim"] == 4
+    assert report["commutative"] is False
+    assert report["center_dim"] == 1
+    eqs = report["tuple_equations"]
+    assert (eqs["n"], eqs["pairs"], eqs["forms"]) == (0, [], [])
 
 
 def test_json_output_is_byte_identical_across_runs(tmp_path, run_cli, make_fixture):

@@ -123,7 +123,7 @@ def test_center_contains_scalars_on_random_bundles():
 def test_structure_constants_identity_algebra():
     alg = filtered_endos(tangent_bundle(fan_pn(2)))
     assert structure_constants(alg) == (((Q(1),),),)
-    assert alg.structure == structure_constants(alg)
+    assert alg.products == (((1,),),)
 
 
 def test_structure_constants_diagonal_algebra():
@@ -167,6 +167,18 @@ def test_tuple_equations_empty_for_commutative_and_n1():
         )
     )
     assert tuple_variety_equations(full, 1).forms == ()
+
+
+def test_tuple_equations_of_length_zero_and_negative_length():
+    # the point fan has n = 0: no slot pairs, so no forms, even for End(Q^2)
+    full = filtered_endos(
+        TVB(standard_cone_fan(1), 2, (normalize_filtration(2, [(0, Subspace.zero(2))]),))
+    )
+    assert not is_commutative(full)
+    eqs = tuple_variety_equations(full, 0)
+    assert (eqs.n, eqs.dim, eqs.pairs, eqs.forms) == (0, 4, (), ())
+    with pytest.raises(ValueError):
+        tuple_variety_equations(full, -1)
 
 
 def test_tuple_equations_match_direct_commutators_on_full_end():

@@ -1,16 +1,18 @@
-"""The structure tensor against a test-only copy of the original endalg path.
+"""The product table against a test-only copy of the original endalg path.
 
-``structure_constants`` multiplies the algebra subspace's integer rows and
-reads each product's coordinates off the pivots, and ``is_commutative``,
-``center`` and ``tuple_variety_equations`` derive from the tensor.  The
-reference below is the original path on the ``Fraction`` basis matrices: one
-``solve_linear`` per coordinate vector, the center as the kernel of direct
-commutators, pairwise commutators for commutativity, and the tuple forms
-read from the coordinates of each commutator [A_a, A_b].  Its products are
-dense sums, independent of the library's sparse product.
+The algebra multiplies its subspace's integer rows only where their supports
+meet and reads each product off the pivots; ``structure_constants``,
+``is_commutative``, ``center`` and ``tuple_variety_equations`` all derive from
+that table.  The reference below is the original path on the ``Fraction``
+basis matrices: one ``solve_linear`` per coordinate vector, the center as the
+kernel of direct commutators with its elements combined from the basis,
+pairwise commutators for commutativity, and the tuple forms read from the
+coordinates of each commutator [A_a, A_b].  Its products are dense sums over
+every pair, independent of the library's sparse product and support filter.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +20,7 @@ from toric_cohiggs import (
     Mat,
     Subspace,
     center,
+    classify,
     direct_sum,
     fan_pn,
     filtered_endos,
@@ -26,6 +29,7 @@ from toric_cohiggs import (
     structure_constants,
     tuple_variety_equations,
 )
+from toric_cohiggs import endalg
 from toric_cohiggs.endalg import FilteredEndAlgebra
 from toric_cohiggs.errors import InternalError
 from toric_cohiggs.linalg import kernel, solve_linear
@@ -54,6 +58,18 @@ def ref_tensor(alg):
     return tuple(tuple(ref_coords(alg, ref_mul(a, b)) for b in alg.basis) for a in alg.basis)
 
 
+def ref_element(alg, coords):
+    r = alg.bundle.r
+    return Mat(
+        [
+            [sum((c * b.entry(i, j) for c, b in zip(coords, alg.basis)), Fraction(0))
+             for j in range(r)]
+            for i in range(r)
+        ],
+        ncols=r,
+    )
+
+
 def ref_is_commutative(alg):
     basis = alg.basis
     return all(
@@ -73,7 +89,7 @@ def ref_center(alg):
         for pos in range(r * r):
             rows.append([comms[b][pos] for b in range(d)])
     coords = kernel(Mat(rows, ncols=d)) if rows else Subspace.full(d)
-    return [alg.element(x) for x in coords.basis]
+    return [ref_element(alg, x) for x in coords.basis]
 
 
 def ref_forms(alg):
@@ -133,6 +149,22 @@ def test_tensor_center_and_forms_match_reference_on_line_sums(k):
     assert_matches_reference(line_sum(fan_pn(2), list(range(k))), 2)
 
 
+# Repeated twists give full matrix blocks, so many products are nonzero.
+@pytest.mark.parametrize("twists", [[0, 0, 0, 0], [0, 0, 1, 1, 2]])
+def test_tensor_center_and_forms_match_reference_on_repeated_twists(twists):
+    assert_matches_reference(line_sum(fan_pn(2), twists), 2)
+
+
+def test_classify_never_builds_the_fraction_tensor_or_multiplies_matrices(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("called on the classify path")
+
+    monkeypatch.setattr(endalg, "structure_constants", refuse)
+    monkeypatch.setattr(Mat, "__matmul__", refuse)
+    report = classify(line_sum(fan_pn(2), list(range(6))))
+    assert (report.dim_h, report.commutative, len(report.center_basis)) == (21, False, 1)
+
+
 def test_basis_not_closed_under_multiplication_is_an_internal_error():
     v = line_sum(fan_pn(2), [0, 0])
     e12, e21 = Mat.elementary(2, 2, 0, 1), Mat.elementary(2, 2, 1, 0)
@@ -141,6 +173,8 @@ def test_basis_not_closed_under_multiplication_is_an_internal_error():
         structure_constants(FilteredEndAlgebra(v, span))
     with pytest.raises(InternalError):
         is_commutative(FilteredEndAlgebra(v, span))
+    with pytest.raises(InternalError):
+        center(FilteredEndAlgebra(v, span))
     # the integer row R = 2 e11 + e12 has pivot 2 and R R = 2 R, so the basis
     # element R / 2 is idempotent: its coordinate is 4 / (2 * 2)
     scaled = Subspace(4, [(2, 1, 0, 0)])

@@ -10,7 +10,6 @@ Usage: python3 scripts/classify_survey.py [--json]
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from toric_cohiggs import (
@@ -22,7 +21,7 @@ from toric_cohiggs import (
     line_bundle,
     tangent_bundle,
 )
-from toric_cohiggs.serialize import classification_to_obj
+from toric_cohiggs.serialize import classification_to_obj, dumps_canonical
 
 
 def build_zoo():
@@ -63,7 +62,7 @@ def main() -> int:
             f"parameters={params}"
         )
     if args.json:
-        print(json.dumps(reports, indent=2, sort_keys=True))
+        sys.stdout.write(dumps_canonical(reports))
     return 0
 
 

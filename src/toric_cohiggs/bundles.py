@@ -292,9 +292,16 @@ class _LevelCache:
         here = self.value(levels)
         if here.is_zero():
             return here, here
-        ups = (
-            self.value(levels[:k] + (lv + 1,) + levels[k + 1:]) for k, lv in enumerate(levels)
-        )
+        ups = []
+        for k, lv in enumerate(levels):
+            axis = self.axes[k]
+            i = bisect_left(axis, lv + 1)  # filt_k(lv + 1) = filt_k(axis[i])
+            if i == len(axis):
+                continue  # past the last threshold filt_k is zero
+            up = self.value(levels[:k] + (axis[i],) + levels[k + 1:])
+            if up.dim == here.dim:  # up ⊆ here, so up = here = F_+
+                return here, here
+            ups.append(up)
         return here, subspace_sum(self.zero, *ups)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from .endalg import center, filtered_endos, is_commutative, tuple_variety_equati
 from .errors import InternalError, SchemaError
 from .fans import Cone, Fan, fan_hirzebruch, fan_pn, fan_product, validate_fan
 from .linalg import Subspace
+from .serialize import scalar_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,27 +137,39 @@ def _make_example(args) -> tuple[str, dict]:
 # ---------------------------------------------------------------------------
 # report rendering
 
-def _text_lines(obj, indent=0) -> list[str]:
-    pad = "  " * indent
-    lines = []
+def _text_lines(obj, pad: str = "", out: list | None = None, rows: dict | None = None) -> list:
+    """The indented text of a report in chunks of lines: keys sorted, scalars as JSON.
+
+    A list of strings (a matrix row) is one chunk, rendered once per object
+    and indentation.
+    """
+    if out is None:
+        out, rows = [], {}
     if isinstance(obj, dict):
         for key in sorted(obj):
             val = obj[key]
             if isinstance(val, (dict, list)) and val:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_text_lines(val, indent + 1))
+                out.append(f"{pad}{key}:")
+                _text_lines(val, pad + "  ", out, rows)
             else:
-                lines.append(f"{pad}{key}: {json.dumps(val)}")
+                out.append(f"{pad}{key}: {scalar_json(val)}")
     elif isinstance(obj, list):
+        if obj and all(type(val) is str for val in obj):
+            key = (id(obj), pad)
+            chunk = rows.get(key)
+            if chunk is None:
+                chunk = rows[key] = pad + "- " + ("\n" + pad + "- ").join(map(scalar_json, obj))
+            out.append(chunk)
+            return out
         for val in obj:
             if isinstance(val, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_text_lines(val, indent + 1))
+                out.append(f"{pad}-")
+                _text_lines(val, pad + "  ", out, rows)
             else:
-                lines.append(f"{pad}- {json.dumps(val)}")
+                out.append(f"{pad}- {scalar_json(val)}")
     else:
-        lines.append(f"{pad}{json.dumps(obj)}")
-    return lines
+        out.append(f"{pad}{scalar_json(obj)}")
+    return out
 
 
 def _emit(report: dict, args) -> None:

@@ -12,7 +12,9 @@ basis element A_a is the primitive integer row R_a over its pivot entry d_a.
 One integer product table P_ab = R_a R_b at the pivots is computed per
 algebra, multiplying a pair only when a nonzero column of R_a meets a
 nonzero row of R_b (otherwise every term is zero).  Commutativity, the tuple
-equations and the center's integer system all read its differences.
+equations and the center's integer system all read its differences.  The
+commutator forms stay sparse, as each row's nonzero (column, value) pairs
+read off those differences: the report writes the zeros, nothing stores them.
 
 The algebra is handled as a linear solution space, not as its unit group:
 invertibility is an open condition on top of the linear data and is reported,
@@ -40,6 +42,9 @@ from .linalg import (  # noqa: F401
 )
 
 _ZERO = Fraction(0)
+
+# A bilinear form on coordinate vectors: per row, its nonzero (column, value) pairs.
+SparseForm = tuple[tuple[tuple[int, Fraction], ...], ...]
 
 
 def _pivot_entries(space: Subspace) -> list[int]:
@@ -107,17 +112,22 @@ class FilteredEndAlgebra:
                             yield a, b, k, x - y
 
     @cached_property
-    def commutator_forms(self) -> tuple[Mat, ...]:
-        """The nonzero forms B_k with [x·A, y·A] = sum_k B_k(x, y) A_k.
+    def commutator_forms(self) -> tuple[SparseForm, ...]:
+        """The nonzero forms B_k with [x·A, y·A] = sum_k B_k(x, y) A_k, sparse.
 
-        B_k[a][b] = (P_ab[k] - P_ba[k]) / (d_a d_b), with P the product table.
+        B_k[a][b] = (P_ab[k] - P_ba[k]) / (d_a d_b), with P the product table;
+        row a of a form holds its nonzero (b, B_k[a][b]) in column order.
         """
         d, dens = self.dim, _pivot_entries(self.space)
-        forms = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
-        for a, b, k, diff in self._differences():
-            forms[k][a][b] = f = Fraction(diff, dens[a] * dens[b])
-            forms[k][b][a] = -f
-        return tuple(Mat._trusted(f, d) for f in forms if any(map(any, f)))
+        forms: dict[int, list[list[tuple[int, Fraction]]]] = {}
+        for a, b, k, diff in self._differences():  # a ascending, so columns ascend
+            rows = forms.get(k)
+            if rows is None:
+                rows = forms[k] = [[] for _ in range(d)]
+            f = Fraction(diff, dens[a] * dens[b])
+            rows[a].append((b, f))
+            rows[b].append((a, -f))
+        return tuple(tuple(map(tuple, forms[k])) for k in sorted(forms))
 
 
 def filtered_endos(v: TVB) -> FilteredEndAlgebra:
@@ -179,7 +189,7 @@ class TupleVarietyEqs:
 
     n: int
     dim: int
-    forms: tuple[Mat, ...]  # each dim x dim, one per surviving basis index
+    forms: tuple[SparseForm, ...]  # each dim x dim, one per surviving basis index
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -189,16 +199,10 @@ class TupleVarietyEqs:
 
     def evaluate(self, x, y) -> tuple[Fraction, ...]:
         """Values B_d(x, y) for one slot pair."""
-        out = []
-        for form in self.forms:
-            val = sum(
-                xi * form.entry(i, j) * yj
-                for i, xi in enumerate(x)
-                for j, yj in enumerate(y)
-                if xi and yj
-            )
-            out.append(Fraction(val))
-        return tuple(out)
+        return tuple(
+            Fraction(sum(x[i] * v * y[j] for i, row in enumerate(form) if x[i] for j, v in row))
+            for form in self.forms
+        )
 
     def satisfied_by(self, coord_tuples) -> bool:
         """True iff every slot pair evaluates to zero on the coordinates."""

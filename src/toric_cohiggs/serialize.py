@@ -11,6 +11,13 @@ digits, sign on the numerator, nonzero denominator; parsing accepts nothing
 else.  Subspace bases may arrive non-canonical; parsing canonicalizes them.
 Serialization is canonical (sorted keys, canonical bases, trailing newline),
 so that serialize -> parse -> serialize is byte-identical.
+
+``dumps_canonical`` writes that text itself, byte-identical to
+``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline: ``indent``
+keeps the library on its pure-Python encoder, which dominated large reports.
+Strings go through the C string encoder, scalars are written inline, and a
+list of strings (a matrix row) is one chunk, rendered once per object: the
+commutator forms repeat one shared zero row.
 """
 
 from __future__ import annotations
@@ -40,9 +47,90 @@ from .fans import Cone, Fan
 from .linalg import Mat, Subspace, _rational_pair, rat_str
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # C-accelerated when available
+
+
+def scalar_json(x) -> str:
+    """``json.dumps(x)`` for a scalar or an empty container."""
+    t = type(x)
+    if t is str:
+        return _encode_str(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    return json.dumps(x)
+
+
+def _write(obj, pad: str, out: list, rows: dict) -> None:
+    """Append ``json.dumps(obj, sort_keys=True, indent=2)`` to out, indented by pad.
+
+    rows maps (id, pad) of each list of strings written so far to its text,
+    so a row object that recurs (the shared zero row) is rendered once.
+    """
+    t = type(obj)
+    if t is list or t is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if type(obj[0]) is str:
+            key = (id(obj), pad)
+            chunk = rows.get(key)
+            if chunk is None:
+                try:  # a matrix row: one chunk
+                    cells = (",\n" + inner).join(map(_encode_str, obj))
+                    chunk = "[\n" + inner + cells + "\n" + pad + "]"
+                except TypeError:  # not every item is a string
+                    chunk = ""
+                rows[key] = chunk
+            if chunk:
+                out.append(chunk)
+                return
+        sep = "[\n" + inner
+        for item in obj:
+            out.append(sep)
+            sep = ",\n" + inner
+            _write(item, inner, out, rows)
+        out.append("\n" + pad + "]")
+    elif t is dict and all(type(k) is str for k in obj):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(obj):
+            val = obj[key]
+            tv = type(val)
+            if tv is str:
+                out.append(sep + _encode_str(key) + ": " + _encode_str(val))
+            elif tv is int:
+                out.append(sep + _encode_str(key) + ": " + int.__repr__(val))
+            else:
+                out.append(sep + _encode_str(key) + ": ")
+                _write(val, inner, out, rows)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif t is str or t is int or t is bool or obj is None:
+        out.append(scalar_json(obj))
+    else:  # floats, non-string keys, subclasses: the library encoder, re-indented
+        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad))
+
+
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, newline at end."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text: sorted keys, two-space indent, newline at end.
+
+    Byte-identical to ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``,
+    written directly: ``indent`` keeps the library off its C encoder.
+    """
+    out: list[str] = []
+    _write(obj, "", out, {})
+    out.append("\n")
+    return "".join(out)
 
 
 def _expect(cond: bool, msg: str):
@@ -78,7 +166,7 @@ def _integer_vector(row) -> list[int]:
 # matrices and subspaces
 
 def mat_to_obj(m: Mat) -> list[list[str]]:
-    return [[rat_str(a) for a in row] for row in m.rows]
+    return [[rat_str(a) if a else "0" for a in row] for row in m.rows]
 
 
 def mat_from_obj(obj, nrows: int | None = None, ncols: int | None = None) -> Mat:
@@ -309,12 +397,27 @@ def bundle_verdict_to_obj(verdict: BundleVerdict) -> dict:
     return out
 
 
+def _sparse_form_to_obj(form, zero_row: list[str]) -> list[list[str]]:
+    """A sparse form as dense rows; every all-zero row is the shared zero_row."""
+    out = []
+    for row in form:
+        if row:
+            cells = zero_row.copy()
+            for j, value in row:
+                cells[j] = rat_str(value)
+            out.append(cells)
+        else:
+            out.append(zero_row)
+    return out
+
+
 def tuple_eqs_to_obj(eqs: TupleVarietyEqs) -> dict:
+    zero_row = ["0"] * eqs.dim
     return {
         "n": eqs.n,
         "dim": eqs.dim,
         "pairs": [list(p) for p in eqs.pairs],
-        "forms": [mat_to_obj(f) for f in eqs.forms],
+        "forms": [_sparse_form_to_obj(f, zero_row) for f in eqs.forms],
         "forms_note": "the same bilinear forms apply to every slot pair",
     }
 

@@ -1,5 +1,6 @@
 """Filtrations, bundle constructors, cone gradings, compatibility, Chern data."""
 
+import itertools
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from toric_cohiggs import (
     tangent_bundle,
     tensor_line,
 )
-from toric_cohiggs.bundles import _greedy_pieces
+from toric_cohiggs.bundles import _LevelCache, _greedy_pieces
 from toric_cohiggs.fans import dual_basis
 
 from conftest import (
@@ -110,6 +111,17 @@ def test_walk_asks_for_no_level_below_first_threshold(monkeypatch):
     assert is_vector_bundle(tangent_bundle(fan_pn(4))).compatible
     assert asked
     assert all(i >= first for first, i in asked)
+
+
+def test_walk_caches_threshold_grid_points_only():
+    rng = random.Random(4242)
+    for _ in range(30):
+        v = random_bundle(rng, fan_pn(2), rng.randint(1, 4))
+        cache = _LevelCache(v.filts, v.r)
+        for levels in itertools.product(*cache.axes):
+            cache.value_and_above(levels)
+        for levels in cache.cache:
+            assert all(lv in axis for lv, axis in zip(levels, cache.axes)), levels
 
 
 def test_tangent_filtration_value_at_one_is_ray_line(fan_zoo):

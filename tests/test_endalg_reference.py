@@ -7,7 +7,8 @@ that table.  The reference below is the original path on the ``Fraction``
 basis matrices: one ``solve_linear`` per coordinate vector, the center as the
 kernel of direct commutators with its elements combined from the basis,
 pairwise commutators for commutativity, and the tuple forms read from the
-coordinates of each commutator [A_a, A_b].  Its products are dense sums over
+coordinates of each commutator [A_a, A_b]; the library's sparse forms are
+made dense before they are compared.  Its products are dense sums over
 every pair, independent of the library's sparse product and support filter.
 """
 
@@ -107,6 +108,18 @@ def ref_forms(alg):
     return tuple(f for f in forms if not f.is_zero())
 
 
+def dense_form(form, d):
+    """A sparse form (per row, its nonzero (column, value) pairs) as a d x d Mat."""
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    for a, row in enumerate(form):
+        cols = [b for b, _ in row]
+        assert cols == sorted(set(cols)), "columns must ascend without repeats"
+        for b, value in row:
+            assert value != 0, "a sparse form stores no zero"
+            rows[a][b] = value
+    return Mat(rows, ncols=d)
+
+
 def line_sum(fan, twists):
     v = line_bundle(fan, twists[0])
     for t in twists[1:]:
@@ -121,7 +134,9 @@ def assert_matches_reference(v, n):
     assert structure_constants(alg) == ref_tensor(alg)
     assert is_commutative(alg) == ref_is_commutative(alg)
     assert center(alg) == ref_center(alg)
-    assert tuple_variety_equations(alg, n).forms == ref_forms(alg)
+    forms = tuple_variety_equations(alg, n).forms
+    assert all(len(f) == alg.dim for f in forms)
+    assert tuple(dense_form(f, alg.dim) for f in forms) == ref_forms(alg)
     return alg
 
 

@@ -37,3 +37,12 @@ def test_canonical_pair_experiment_runs_and_matches_golden(monkeypatch, capsys):
     assert "wrote" not in capsys.readouterr().out
     golden = json.loads((ROOT / "tests" / "golden" / "canonical_pair.json").read_text())
     assert script.run_cases() == golden["cases"]
+
+
+def test_classify_scale_runs_on_small_ranks(capsys):
+    assert load_script("classify_scale").main(["--min", "2", "--max", "4"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["r", "dim_h", "seconds", "report_bytes", "peak_rss_mb"]
+    assert [row.split()[:2] for row in rows] == [["2", "4"], ["3", "9"], ["4", "16"]]
+    sizes = [int(row.split()[3]) for row in rows]
+    assert sizes == sorted(sizes) and sizes[0] > 0

@@ -157,3 +157,21 @@ def test_dumps_canonical_is_sorted_and_newline_terminated():
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert text.index('"c"') < text.index('"d"')
+
+
+def test_sparse_forms_render_as_the_reference_dense_forms():
+    from test_endalg_reference import line_sum, ref_forms
+
+    from toric_cohiggs import fan_pn, filtered_endos, tuple_variety_equations
+    from toric_cohiggs.serialize import tuple_eqs_to_obj
+
+    alg = filtered_endos(line_sum(fan_pn(2), [0, 0, 1, 2]))
+    forms = tuple_eqs_to_obj(tuple_variety_equations(alg, 2))["forms"]
+    assert forms == [mat_to_obj(f) for f in ref_forms(alg)]
+    zero_rows = [row for form in forms for row in form if set(row) == {"0"}]
+    assert zero_rows and all(row is zero_rows[0] for row in zero_rows)
+
+
+def test_mat_to_obj_writes_zero_cells_as_zero():
+    m = Mat([[0, "-1/2"], ["3", 0]])
+    assert mat_to_obj(m) == [["0", "-1/2"], ["3", "0"]]

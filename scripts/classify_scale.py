@@ -8,7 +8,7 @@ size r² x r², so it grows like r^6.  Each rank runs in its own process
 script), so the time includes start-up and the peak RSS is that run's
 alone.  The report goes to a temporary file, which is only measured.
 
-Usage: python3 scripts/classify_scale.py [--min 6] [--max 14] [--format json]
+Usage: python3 scripts/classify_scale.py [--min 6] [--max 14]
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def trivial_bundle_obj(r: int) -> dict:
     return bundle_to_obj(v)
 
 
-def run_one(r: int, fmt: str, workdir: Path) -> tuple[float, int, float]:
+def run_one(r: int, workdir: Path) -> tuple[float, int, float]:
     """(seconds, report bytes, peak RSS in MB) of one ``classify`` child."""
     bundle = workdir / f"o{r}.bundle.json"
     bundle.write_text(json.dumps(trivial_bundle_obj(r)))
@@ -43,7 +43,7 @@ def run_one(r: int, fmt: str, workdir: Path) -> tuple[float, int, float]:
     env = dict(os.environ)
     src = str(Path(toric_cohiggs.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "toric_cohiggs", "classify", str(bundle), "--format", fmt]
+    argv = [sys.executable, "-m", "toric_cohiggs", "classify", str(bundle), "--format", "json"]
     with report.open("wb") as out:
         start = time.perf_counter()
         child = subprocess.Popen(argv, stdout=out, env=env)
@@ -59,14 +59,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--min", type=int, default=6, help="smallest rank r")
     parser.add_argument("--max", type=int, default=14, help="largest rank r")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
     args = parser.parse_args(argv)
     if not 1 <= args.min <= args.max:
         parser.error("need 1 <= --min <= --max")
     print(f"{'r':>3} {'dim_h':>6} {'seconds':>8} {'report_bytes':>13} {'peak_rss_mb':>12}")
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(args.min, args.max + 1):
-            seconds, size, rss = run_one(r, args.format, Path(tmp))
+            seconds, size, rss = run_one(r, Path(tmp))
             print(f"{r:>3} {r * r:>6} {seconds:>8.2f} {size:>13} {rss:>12.1f}", flush=True)
     return 0
 

@@ -137,39 +137,27 @@ def _make_example(args) -> tuple[str, dict]:
 # ---------------------------------------------------------------------------
 # report rendering
 
-def _text_lines(obj, pad: str = "", out: list | None = None, rows: dict | None = None) -> list:
-    """The indented text of a report in chunks of lines: keys sorted, scalars as JSON.
-
-    A list of strings (a matrix row) is one chunk, rendered once per object
-    and indentation.
-    """
-    if out is None:
-        out, rows = [], {}
+def _text_lines(obj, indent=0) -> list[str]:
+    pad = "  " * indent
+    lines = []
     if isinstance(obj, dict):
         for key in sorted(obj):
             val = obj[key]
             if isinstance(val, (dict, list)) and val:
-                out.append(f"{pad}{key}:")
-                _text_lines(val, pad + "  ", out, rows)
+                lines.append(f"{pad}{key}:")
+                lines.extend(_text_lines(val, indent + 1))
             else:
-                out.append(f"{pad}{key}: {scalar_json(val)}")
+                lines.append(f"{pad}{key}: {scalar_json(val)}")
     elif isinstance(obj, list):
-        if obj and all(type(val) is str for val in obj):
-            key = (id(obj), pad)
-            chunk = rows.get(key)
-            if chunk is None:
-                chunk = rows[key] = pad + "- " + ("\n" + pad + "- ").join(map(scalar_json, obj))
-            out.append(chunk)
-            return out
         for val in obj:
             if isinstance(val, (dict, list)):
-                out.append(f"{pad}-")
-                _text_lines(val, pad + "  ", out, rows)
+                lines.append(f"{pad}-")
+                lines.extend(_text_lines(val, indent + 1))
             else:
-                out.append(f"{pad}- {scalar_json(val)}")
+                lines.append(f"{pad}- {scalar_json(val)}")
     else:
-        out.append(f"{pad}{scalar_json(obj)}")
-    return out
+        lines.append(f"{pad}{scalar_json(obj)}")
+    return lines
 
 
 def _emit(report: dict, args) -> None:

@@ -4,9 +4,9 @@
 O^r, the trivial bundle of rank r, has all of gl_r as its endomorphism
 algebra: dim_h = r², and the report carries up to r² commutator forms of
 size r² x r², so it grows like r^6.  Each rank runs in its own process
-(``python -m toric_cohiggs classify``, importing the same package as this
-script), so the time includes start-up and the peak RSS is that run's
-alone.  The report goes to a temporary file, which is only measured.
+(``child_run.run_cli``), so the time includes start-up and the peak RSS is
+that run's alone.  The report goes to a temporary file, which is only
+measured.
 
 Usage: python3 scripts/classify_scale.py [--min 6] [--max 14]
 """
@@ -15,14 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-import toric_cohiggs
+from child_run import run_cli
 from toric_cohiggs import direct_sum, fan_pn, line_bundle
 from toric_cohiggs.serialize import bundle_to_obj
 
@@ -39,20 +36,7 @@ def run_one(r: int, workdir: Path) -> tuple[float, int, float]:
     """(seconds, report bytes, peak RSS in MB) of one ``classify`` child."""
     bundle = workdir / f"o{r}.bundle.json"
     bundle.write_text(json.dumps(trivial_bundle_obj(r)))
-    report = workdir / f"o{r}.report"
-    env = dict(os.environ)
-    src = str(Path(toric_cohiggs.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "toric_cohiggs", "classify", str(bundle), "--format", "json"]
-    with report.open("wb") as out:
-        start = time.perf_counter()
-        child = subprocess.Popen(argv, stdout=out, env=env)
-        _, status, usage = os.wait4(child.pid, 0)
-        seconds = time.perf_counter() - start
-    child.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4, not by Popen
-    if child.returncode != 0:
-        raise RuntimeError(f"classify of O^{r} exited {child.returncode}")
-    return seconds, report.stat().st_size, usage.ru_maxrss / 1024  # ru_maxrss is in KB
+    return run_cli(["classify", str(bundle), "--format", "json"], workdir / f"o{r}.report")
 
 
 def main(argv=None) -> int:

@@ -8,8 +8,8 @@ the last subspace is zero.
 
 The compatibility check asks, cone by cone, for a character grading of Q^r
 that simultaneously reconstructs the filtrations of all the cone's rays
-(Klyachko 1990; Payne 2008).  It is decided by one walk over the threshold
-grid and an integer count, complete at every rank.
+(Klyachko 1990; Payne 2008).  It is decided by one walk over the support
+of F in the threshold grid and an integer count, complete at every rank.
 
 Definitions.  For a cone with rays 1..n, a grid point u has u_k a threshold
 of filt_k.  F(u) = ∩_k filt_k(u_k), and F_+(u) = Σ_k F(u + e_k) (a level one
@@ -39,15 +39,25 @@ grading is complete at every rank, the traversal order cannot matter, the
 per-ray counts Σ_{u_k≥i} m(u) = dim filt_k(i) hold whenever Σ m = r, no
 search over subsets of the support is ever needed, and the certificate of
 an incompatible cone is Σ m alone.
+
+Walk.  At the first threshold of filt_k the level gives the whole space, so
+F(u) depends only on the face key of u: the pairs (ray, u_k) with u_k above
+the first threshold of its ray, in ray order.  One table per bundle holds F
+by face key (``TVB._value``), so cones sharing a face share its values, and
+F(key) = F(key without its last pair) ∩ filt_ray(level).  The walk descends
+ray by ray and, along each axis, stops at the first level where F of the
+prefix is zero: F only shrinks as a level rises, and a point with F = 0
+holds no piece (E_u ⊆ F(u)).  So it skips no piece on any cone, compatible
+or not, and the pieces, Σ m and the certificates are the full grid's.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from operator import mul
+from typing import Iterable, Mapping
 
 from .fans import Character, Cone, Fan, dual_basis
 from .linalg import (
@@ -155,6 +165,8 @@ class TVB:
     fan: Fan
     r: int
     filts: tuple[Filtration, ...]
+    # face key -> F, shared by every cone containing the face; see _value
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "filts", tuple(self.filts))
@@ -165,6 +177,22 @@ class TVB:
         for f in self.filts:
             if f.r != self.r:
                 raise ValueError("filtration ambient dimension differs from rank")
+
+    def _value(self, key: tuple[tuple[int, int], ...]) -> Subspace:
+        """F at a face key: the intersection of filt_ray(level) over its pairs.
+
+        Memoized, so the recursion on the key's prefix is as deep as the key
+        is long.
+        """
+        got = self._values.get(key)
+        if got is None:
+            if key:
+                ray, level = key[-1]
+                got = intersect(self._value(key[:-1]), self.filts[ray].at(level))
+            else:
+                got = Subspace.full(self.r)
+            self._values[key] = got
+        return got
 
 
 def _per_ray_ints(fan: Fan, a) -> tuple[int, ...]:
@@ -259,60 +287,56 @@ class OracleVerdict:
     reason: str | None = None
 
 
-class _LevelCache:
-    """Memoized F(levels) = ∩_k filt_k(levels_k) for one cone.
+def _raised(key: tuple, ray: int, level: int) -> tuple:
+    """The face key with ``ray``'s pair set to ``level``, kept in ray order."""
+    i = bisect_left(key, (ray,))  # first pair whose ray is >= ray
+    j = i + 1 if i < len(key) and key[i][0] == ray else i
+    return key[:i] + ((ray, level),) + key[j:]
 
-    A grading piece can only sit where every level is a threshold of its
-    filtration: elsewhere one axis has filt_k(l) = filt_k(l + 1), so F equals
-    a summand of F_+.  The walk therefore visits the threshold grid only.
+
+def _greedy_pieces(v: TVB, sigma: Cone) -> dict[tuple[int, ...], Subspace]:
+    """The nonzero greedy pieces E_u of one cone, keyed by the grid point u.
+
+    Depth first, ray by ray; along an axis the walk stops at the first level
+    whose prefix value is zero, so it visits the support of F and nothing
+    else.  F_+ at a leaf sums the values one threshold up each axis.
     """
+    rays = sigma.ray_indices
+    axes = [v.filts[i].thresholds for i in rays]
+    value = v._value
+    zero = Subspace.zero(v.r)
+    pieces: dict[tuple[int, ...], Subspace] = {}
 
-    def __init__(self, filts: Sequence[Filtration], r: int):
-        self.filts = filts
-        self.axes = [f.thresholds for f in filts]
-        self.zero = Subspace.zero(r)
-        self.cache: dict[tuple[int, ...], Subspace] = {(): Subspace.full(r)}
-
-    def value(self, levels: tuple[int, ...]) -> Subspace:
-        got = self.cache.get(levels)
-        if got is not None:
-            return got
-        prefix = self.value(levels[:-1])
-        k = len(levels) - 1
-        out = intersect(prefix, self.filts[k].at(levels[k]))
-        self.cache[levels] = out
-        return out
-
-    def value_and_above(self, levels: tuple[int, ...]) -> tuple[Subspace, Subspace]:
-        """F(levels) and F_+(levels), the sum of the values one step up each axis.
-
-        Any adapted grading has dim F - dim F_+ vectors of character
-        ``levels``: the forced multiplicity.
-        """
-        here = self.value(levels)
-        if here.is_zero():
-            return here, here
+    def leaf(levels: tuple[int, ...], key: tuple) -> None:
+        here = value(key)
         ups = []
         for k, lv in enumerate(levels):
-            axis = self.axes[k]
+            axis = axes[k]
             i = bisect_left(axis, lv + 1)  # filt_k(lv + 1) = filt_k(axis[i])
             if i == len(axis):
                 continue  # past the last threshold filt_k is zero
-            up = self.value(levels[:k] + (axis[i],) + levels[k + 1:])
+            up = value(_raised(key, rays[k], axis[i]))
             if up.dim == here.dim:  # up ⊆ here, so up = here = F_+
-                return here, here
+                return
             ups.append(up)
-        return here, subspace_sum(self.zero, *ups)
+        above = subspace_sum(zero, *ups)
+        if above.dim < here.dim:
+            pieces[levels] = complement_within(above, here)
 
+    def descend(k: int, levels: tuple[int, ...], key: tuple) -> None:
+        if k == len(rays):
+            leaf(levels, key)
+            return
+        ray, axis = rays[k], axes[k]
+        descend(k + 1, levels + (axis[0],), key)  # the first threshold adds no pair
+        for level in axis[1:]:
+            sub = key + ((ray, level),)
+            if value(sub).is_zero():  # F shrinks along the axis: no piece from here on
+                break
+            descend(k + 1, levels + (level,), sub)
 
-def _greedy_pieces(filts: Sequence[Filtration], r: int) -> dict[tuple[int, ...], Subspace]:
-    """The nonzero greedy pieces E_u over the threshold grid, keyed by u."""
-    cache = _LevelCache(filts, r)
-    pieces: dict[tuple[int, ...], Subspace] = {}
-    for levels in itertools.product(*cache.axes):
-        f_here, f_above = cache.value_and_above(levels)
-        if f_above.dim < f_here.dim:
-            pieces[levels] = complement_within(f_above, f_here)
+    if not value(()).is_zero():
+        descend(0, (), ())
     return pieces
 
 
@@ -335,7 +359,7 @@ def _count_mismatch(dims: Iterable[int], r: int) -> tuple[str, str] | None:
 
 def adapted_basis_oracle(v: TVB, sigma: Cone) -> OracleVerdict:
     """Whether an adapted grading exists on one cone, by the forced-multiplicity count."""
-    pieces = _greedy_pieces([v.filts[i] for i in sigma.ray_indices], v.r)
+    pieces = _greedy_pieces(v, sigma)
     mismatch = _count_mismatch((piece.dim for piece in pieces.values()), v.r)
     if mismatch is None:
         return OracleVerdict(True)
@@ -350,18 +374,17 @@ def cone_grading(v: TVB, sigma: Cone) -> ConeGrading | Incompatible:
     failed count.
     """
     duals = dual_basis(v.fan, sigma)
-    pieces = _greedy_pieces([v.filts[i] for i in sigma.ray_indices], v.r)
+    pieces = _greedy_pieces(v, sigma)
     mismatch = _count_mismatch((piece.dim for piece in pieces.values()), v.r)
     if mismatch is not None:
         rebuild, count = mismatch
         return Incompatible(sigma, f"{rebuild}; oracle: {count}")
-    graded: list[tuple[Character, Subspace]] = []
-    for levels, piece in pieces.items():
-        u = tuple(
-            sum(levels[k] * duals[k][j] for k in range(len(duals)))
-            for j in range(v.fan.n)
-        )
-        graded.append((u, piece))
+    # character of grid point u: u_j = Σ_k u_k duals[k][j], one column per j
+    columns = tuple(zip(*duals))
+    graded = [
+        (tuple(sum(map(mul, levels, col)) for col in columns), piece)
+        for levels, piece in pieces.items()
+    ]
     graded.sort(key=lambda p: p[0])
     return ConeGrading(sigma, tuple(graded))
 

@@ -1,6 +1,6 @@
 """Filtrations, bundle constructors, cone gradings, compatibility, Chern data."""
 
-import itertools
+import math
 import random
 
 import pytest
@@ -26,7 +26,8 @@ from toric_cohiggs import (
     tangent_bundle,
     tensor_line,
 )
-from toric_cohiggs.bundles import _LevelCache, _greedy_pieces
+from toric_cohiggs import bundles
+from toric_cohiggs.bundles import _greedy_pieces
 from toric_cohiggs.fans import dual_basis
 
 from conftest import (
@@ -114,14 +115,38 @@ def test_walk_asks_for_no_level_below_first_threshold(monkeypatch):
 
 
 def test_walk_caches_threshold_grid_points_only():
+    # a face key lists (ray, level) pairs with strictly increasing rays, each
+    # level a threshold of its ray above the first (the first adds no pair)
     rng = random.Random(4242)
     for _ in range(30):
         v = random_bundle(rng, fan_pn(2), rng.randint(1, 4))
-        cache = _LevelCache(v.filts, v.r)
-        for levels in itertools.product(*cache.axes):
-            cache.value_and_above(levels)
-        for levels in cache.cache:
-            assert all(lv in axis for lv, axis in zip(levels, cache.axes)), levels
+        is_vector_bundle(v)
+        assert v._values
+        for key in v._values:
+            rays = [ray for ray, _ in key]
+            assert rays == sorted(set(rays)), key
+            for ray, level in key:
+                assert level in v.filts[ray].thresholds[1:], key
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_walk_intersects_quadratically_often_on_projective_space(n, monkeypatch):
+    # on T P^n the nonzero values sit at the empty face and the n + 1 rays;
+    # each of the C(n + 1, 2) ray pairs is zero and ends its axis there
+    calls = []
+    real = bundles.intersect
+
+    def counting_intersect(s, t):
+        calls.append(None)
+        return real(s, t)
+
+    monkeypatch.setattr(bundles, "intersect", counting_intersect)
+    fan = fan_pn(n)
+    tangent = tangent_bundle(fan)
+    for v in (tangent, direct_sum(tangent, line_bundle(fan, {0: 1}))):
+        calls.clear()
+        assert is_vector_bundle(v).compatible
+        assert len(calls) <= math.comb(n + 2, 2)
 
 
 def test_tangent_filtration_value_at_one_is_ray_line(fan_zoo):
@@ -304,7 +329,7 @@ def test_grading_is_independent_of_traversal_order():
         n = rng.randint(1, 3)
         fan = standard_cone_fan(n)
         v = random_bundle(rng, fan, rng.randint(1, 3))
-        pieces = _greedy_pieces(v.filts, v.r)
+        pieces = _greedy_pieces(v, fan.max_cones[0])
         for key in orders:
             assert reference_pieces(v.filts, v.r, key) == pieces
 

@@ -18,21 +18,26 @@ import random
 import pytest
 
 from toric_cohiggs import (
+    TVB,
     ConeGrading,
     Incompatible,
     Subspace,
     adapted_basis_oracle,
     cone_grading,
     direct_sum,
+    fan_hirzebruch,
     fan_pn,
+    fan_product,
+    is_vector_bundle,
     line_bundle,
+    normalize_filtration,
     tangent_bundle,
 )
 from toric_cohiggs.bundles import OracleVerdict, _greedy_pieces
 from toric_cohiggs.fans import dual_basis
 from toric_cohiggs.linalg import complement_within, intersect, subspace_sum
 
-from conftest import random_bundle, standard_cone_fan
+from conftest import random_bundle, random_filtration, standard_cone_fan
 
 RADO_SCAN_MAX_RANK = 4
 
@@ -175,7 +180,7 @@ def _assert_matches_reference(v):
     outcomes = set()
     for sigma in v.fan.max_cones:
         filts = [v.filts[i] for i in sigma.ray_indices]
-        assert _greedy_pieces(filts, v.r) == reference_pieces(filts, v.r)
+        assert _greedy_pieces(v, sigma) == reference_pieces(filts, v.r)
         got = cone_grading(v, sigma)
         assert got == reference_cone_grading(v, sigma)
         assert adapted_basis_oracle(v, sigma) == reference_oracle(v, sigma)
@@ -205,8 +210,9 @@ def test_greedy_pieces_span_every_value_above_them():
     for seed in range(120):
         rng = random.Random(seed)
         n, r = rng.randint(1, 3), rng.randint(1, 6)
-        filts = random_bundle(rng, standard_cone_fan(n), r).filts
-        pieces = _greedy_pieces(filts, r)
+        v = random_bundle(rng, standard_cone_fan(n), r)
+        filts = v.filts
+        pieces = _greedy_pieces(v, v.fan.max_cones[0])
         value = _Values(filts, r)
         for u in itertools.product(*(f.thresholds for f in filts)):
             above = (p for v, p in pieces.items() if all(a >= b for a, b in zip(v, u)))
@@ -227,3 +233,79 @@ def test_projective_tangent_bundles_match_reference(n):
     assert _assert_matches_reference(direct_sum(tangent, line_bundle(fan, {0: 1}))) == {
         ConeGrading
     }
+
+
+def adapted_bundle(rng, fan, r):
+    """A bundle with one basis adapted to every ray: compatible on every cone.
+
+    Ray k keeps basis vector b_j up to its own random level t_kj.
+    """
+    while True:
+        basis = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+        if Subspace(r, basis).dim == r:
+            break
+    filts = []
+    for _ in fan.rays:
+        levels = [rng.randint(-1, 2) for _ in basis]
+        steps = [
+            (t, Subspace(r, [b for b, tb in zip(basis, levels) if tb > t]))
+            for t in sorted(set(levels))
+        ]
+        filts.append(normalize_filtration(r, steps))
+    return TVB(fan, r, tuple(filts))
+
+
+def _expected_verdict(references):
+    for idx, ref in enumerate(references):
+        if isinstance(ref, Incompatible):
+            return ("incompatible", idx, ref.certificate, None)
+    return ("compatible", None, None, tuple(references))
+
+
+def _verdict_tuple(verdict):
+    return (verdict.status, verdict.cone_index, verdict.certificate, verdict.gradings)
+
+
+MULTI_CONE_FANS = {
+    "p2": fan_pn(2),
+    "p1xp2": fan_product(fan_pn(1), fan_pn(2)),
+    "p3": fan_pn(3),
+    "f2": fan_hirzebruch(2),
+    "p1^3": fan_product(fan_product(fan_pn(1), fan_pn(1)), fan_pn(1)),
+}
+
+
+@pytest.mark.parametrize("fan_name", sorted(MULTI_CONE_FANS))
+def test_shared_table_matches_reference_on_multi_cone_fans(fan_name):
+    """Cones sharing a face read one table of values; no cone may pollute it.
+
+    Every cone's grading or certificate, the oracle and the whole-fan verdict
+    match the per-cone reference, whatever order the calls fill the table in.
+    """
+    fan = MULTI_CONE_FANS[fan_name]
+    rng = random.Random(f"shared-{fan_name}")
+    statuses = set()
+    for _ in range(8):
+        r = rng.randint(2, 4)
+        base = adapted_bundle(rng, fan, r)
+        ray = rng.randrange(len(fan.rays))
+        perturbed = base.filts[:ray] + (random_filtration(rng, r),) + base.filts[ray + 1:]
+        for filts in (base.filts, perturbed):
+            v = TVB(fan, r, filts)
+            references = [reference_cone_grading(v, c) for c in fan.max_cones]
+            oracles = [reference_oracle(v, c) for c in fan.max_cones]
+            expected = _expected_verdict(references)
+            statuses.add(expected[0])
+            calls = [("bundle", None)]
+            calls += [(kind, i) for kind in ("grading", "oracle") for i in range(len(fan.max_cones))]
+            for _ in range(3):  # one object, its table filled in three call orders
+                rng.shuffle(calls)
+                for kind, i in calls:
+                    if kind == "bundle":
+                        assert _verdict_tuple(is_vector_bundle(v)) == expected
+                    elif kind == "grading":
+                        assert cone_grading(v, fan.max_cones[i]) == references[i]
+                    else:
+                        assert adapted_basis_oracle(v, fan.max_cones[i]) == oracles[i]
+    # two filtrations always share an adapted basis, so surfaces never fail
+    assert statuses == ({"compatible", "incompatible"} if fan.n >= 3 else {"compatible"})

@@ -39,10 +39,24 @@ def test_canonical_pair_experiment_runs_and_matches_golden(monkeypatch, capsys):
     assert script.run_cases() == golden["cases"]
 
 
-def test_classify_scale_runs_on_small_ranks(capsys):
+def test_classify_scale_runs_on_small_ranks(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))  # for the shared child_run
     assert load_script("classify_scale").main(["--min", "2", "--max", "4"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["r", "dim_h", "seconds", "report_bytes", "peak_rss_mb"]
     assert [row.split()[:2] for row in rows] == [["2", "4"], ["3", "9"], ["4", "16"]]
     sizes = [int(row.split()[3]) for row in rows]
     assert sizes == sorted(sizes) and sizes[0] > 0
+
+
+def test_check_scale_runs_on_small_dimensions(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    assert load_script("check_scale").main(["--min", "2", "--max", "4"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["n", "bundle", "seconds", "report_bytes", "peak_rss_mb"]
+    assert [row.split()[:2] for row in rows] == [
+        [str(n), name] for n in (2, 3, 4) for name in ("T", "T+O(D0)")
+    ]
+    sizes = [int(row.split()[3]) for row in rows]
+    assert all(size > 0 for size in sizes)
+    assert sizes[0::2] == sorted(sizes[0::2]) and sizes[1::2] == sorted(sizes[1::2])

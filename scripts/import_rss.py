@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Resident memory left by repeated fresh imports of the package.
+
+The benchmark's set-up imports ``toric_cohiggs.cli`` afresh 21 times
+(``SETUP_REPEATS`` in ``bench/run.py``) with no bytecode cache, so every
+line of the package, run or not, costs ``peak_rss_mb``.  This script
+measures that cost alone.  One child interpreter runs under
+``PYTHONDONTWRITEBYTECODE=1``, purges the package from ``sys.modules`` and
+imports ``toric_cohiggs.cli`` 21 times.  It prints the child's VmRSS before
+the first import and after the last, and its peak RSS (``ru_maxrss``), in MB.
+VmRSS is read from ``/proc/self/status``, so this runs on Linux only.
+
+Usage: python3 scripts/import_rss.py
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import toric_cohiggs
+
+REPEATS = 21  # bench/run.py's SETUP_REPEATS
+
+CHILD = f"""if True:
+    import importlib, resource, sys
+
+    def vmrss_mb():
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith("VmRSS:"):
+                    return int(line.split()[1]) / 1024
+
+    before = vmrss_mb()
+    for _ in range({REPEATS}):
+        for name in [m for m in sys.modules if m.split(".")[0] == "toric_cohiggs"]:
+            del sys.modules[name]
+        importlib.import_module("toric_cohiggs.cli")
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(before, vmrss_mb(), peak)
+"""
+
+
+def main() -> int:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    src = str(Path(toric_cohiggs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    before, after, peak = map(float, out.split())
+    print(f"imports {REPEATS}")
+    print(f"vmrss_before_mb {before:.2f}")
+    print(f"vmrss_after_mb {after:.2f}")
+    print(f"ru_maxrss_mb {peak:.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

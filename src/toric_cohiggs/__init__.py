@@ -62,7 +62,6 @@ from .fans import (
 from .linalg import (
     Mat,
     Subspace,
-    commutator,
     commutes,
     complement_within,
     intersect,
@@ -70,7 +69,6 @@ from .linalg import (
     preserves,
     rat_from_str,
     rat_str,
-    rref,
     solve_mat_constraints,
     subspace_sum,
 )

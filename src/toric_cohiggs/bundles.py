@@ -195,13 +195,20 @@ class TVB:
         return got
 
 
+def _twist(x) -> int:
+    """One twist as an int; a float or bool is refused, not truncated."""
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"twist {x!r} is not an integer")
+    return int(x)
+
+
 def _per_ray_ints(fan: Fan, a) -> tuple[int, ...]:
     """Accept an int (constant), a sequence, or a mapping ray index -> int."""
     if isinstance(a, Mapping):
-        return tuple(int(a.get(i, 0)) for i in range(len(fan.rays)))
-    if isinstance(a, (int,)):
-        return tuple(int(a) for _ in fan.rays)
-    vals = tuple(int(x) for x in a)
+        return tuple(_twist(a.get(i, 0)) for i in range(len(fan.rays)))
+    if isinstance(a, (int, float)):
+        return (_twist(a),) * len(fan.rays)
+    vals = tuple(map(_twist, a))
     if len(vals) != len(fan.rays):
         raise ValueError(f"{len(vals)} twist values for {len(fan.rays)} rays")
     return vals
@@ -267,9 +274,6 @@ class ConeGrading:
 
     cone: Cone
     pieces: tuple[tuple[Character, Subspace], ...]
-
-    def pieces_dict(self) -> dict[Character, Subspace]:
-        return dict(self.pieces)
 
     def multiplicities(self) -> tuple[tuple[Character, int], ...]:
         return tuple((u, v.dim) for u, v in self.pieces)

@@ -197,22 +197,6 @@ class TupleVarietyEqs:
             (j, k) for j in range(1, self.n + 1) for k in range(j + 1, self.n + 1)
         )
 
-    def evaluate(self, x, y) -> tuple[Fraction, ...]:
-        """Values B_d(x, y) for one slot pair."""
-        return tuple(
-            Fraction(sum(x[i] * v * y[j] for i, row in enumerate(form) if x[i] for j, v in row))
-            for form in self.forms
-        )
-
-    def satisfied_by(self, coord_tuples) -> bool:
-        """True iff every slot pair evaluates to zero on the coordinates."""
-        vecs = list(coord_tuples)
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                if any(val != 0 for val in self.evaluate(vecs[i], vecs[j])):
-                    return False
-        return True
-
 
 def tuple_variety_equations(alg: FilteredEndAlgebra, n: int) -> TupleVarietyEqs:
     """Equations for n-tuples of pairwise-commuting algebra elements."""

@@ -4,18 +4,17 @@ Rays are primitive integer vectors; characters live in the dual lattice and
 pair with rays through the exact integer dot product.  Only smooth maximal
 cones are supported: the rays of each maximal cone must form a basis of the
 lattice (determinant ±1).  Completeness of a fan is never required, so
-single-cone fixtures are legal; ``validate_fan(..., check_faces=True)`` turns
-on the pairwise face compatibility test.
+single-cone fixtures are legal.  Nor is it yet checked that two maximal
+cones meet in their common face: a cone inside another passes validation.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
-from .linalg import Mat, Q, _rref_rows, kernel
+from .linalg import _rref_rows
 
 RayVec = tuple[int, ...]
 Character = tuple[int, ...]
@@ -103,12 +102,10 @@ def _cone_det_unimodular(fan: Fan, cone: Cone) -> bool:
     return pivots == list(range(n)) and all(row[k] == 1 for k, row in enumerate(reduced))
 
 
-def validate_fan(fan: Fan, check_faces: bool = False) -> FanVerdict:
+def validate_fan(fan: Fan) -> FanVerdict:
     """Check the structural fan invariants, reporting the first failure.
 
-    With ``check_faces`` every pair of maximal cones is additionally required
-    to intersect in the cone spanned by their shared rays, decided by exact
-    extreme-ray enumeration of the intersection.
+    Whether two maximal cones meet in their common face is not checked.
     """
     if fan.n < 0:
         return FanVerdict(False, "negative lattice rank")
@@ -141,69 +138,7 @@ def validate_fan(fan: Fan, check_faces: bool = False) -> FanVerdict:
     missing = sorted(set(range(len(fan.rays))) - used)
     if missing:
         return FanVerdict(False, f"ray {missing[0]} lies in no maximal cone")
-    if check_faces:
-        for a, b in itertools.combinations(range(len(fan.max_cones)), 2):
-            reason = _face_failure(fan, fan.max_cones[a], fan.max_cones[b])
-            if reason is not None:
-                return FanVerdict(False, f"cones {a} and {b} {reason}")
     return FanVerdict(True)
-
-
-def _face_failure(fan: Fan, sigma: Cone, tau: Cone) -> str | None:
-    """None if sigma ∩ tau is exactly the cone on their shared rays.
-
-    In the coordinates y of sigma (x = R_sigma y, y >= 0) the intersection is
-    {y >= 0, B y >= 0} with B = U_tau R_sigma; the test asks that every
-    extreme ray of that cone is supported on the shared ray indices.
-    """
-    n = fan.n
-    shared = set(sigma.ray_indices) & set(tau.ray_indices)
-    u_tau = dual_basis(fan, tau)
-    r_sigma_cols = [fan.rays[i] for i in sigma.ray_indices]
-    b = [[pairing(u, col) for col in r_sigma_cols] for u in u_tau]
-    ineqs = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
-    ineqs += [[Q(x) for x in row] for row in b]
-    free_positions = [
-        k for k, idx in enumerate(sigma.ray_indices) if idx not in shared
-    ]
-    for ray in _extreme_rays(ineqs, n):
-        for k in free_positions:
-            if ray[k] != 0:
-                return (
-                    "overlap beyond their common face "
-                    f"(interior direction through ray index {sigma.ray_indices[k]})"
-                )
-    return None
-
-
-def _extreme_rays(ineqs: list[list[Fraction]], n: int) -> list[tuple[Fraction, ...]]:
-    """Extreme rays of the pointed cone {y : A y >= 0} with A the given rows.
-
-    Brute-force over (n-1)-subsets of rows: a candidate direction is a
-    one-dimensional kernel of the chosen tight rows that satisfies all
-    inequalities.  Exact and adequate for the small cones handled here.
-    """
-    if n == 0:
-        return []
-    if n == 1:
-        candidates = [(Q(1),), (Q(-1),)]
-        return [c for c in candidates if all(row[0] * c[0] >= 0 for row in ineqs)]
-    rays: set[tuple[Fraction, ...]] = set()
-    for subset in itertools.combinations(range(len(ineqs)), n - 1):
-        m = Mat([ineqs[i] for i in subset], ncols=n)
-        ker = kernel(m)
-        if ker.dim != 1:
-            continue
-        v = ker.basis[0]
-        for cand in (v, tuple(-a for a in v)):
-            if all(sum(r * c for r, c in zip(row, cand)) >= 0 for row in ineqs):
-                rays.add(_normalize_ray(cand))
-    return sorted(rays)
-
-
-def _normalize_ray(v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    lead = next(a for a in v if a != 0)
-    return tuple(a / abs(lead) for a in v)
 
 
 def fan_point() -> Fan:

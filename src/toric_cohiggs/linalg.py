@@ -77,10 +77,14 @@ def rat_from_str(s: str) -> Fraction:
 
 
 def _rational(x) -> Fraction:
-    """An int, Fraction or grammar string as a Fraction; a Fraction is kept as it is."""
+    """An int, Fraction or grammar string as a Fraction; floats and bools are refused."""
     if type(x) is Fraction:
         return x
-    return rat_from_str(x) if isinstance(x, str) else Fraction(x)
+    if isinstance(x, str):
+        return rat_from_str(x)
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"not an exact rational: {x!r}")
+    return Fraction(x)
 
 
 def as_vec(entries: Iterable) -> Vec:
@@ -151,25 +155,12 @@ class Mat:
         rows = [[_ONE if r == i and c == j else _ZERO for c in range(ncols)] for r in range(nrows)]
         return cls._trusted(rows, ncols)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
         return Mat._trusted(
             [[a + b if b else a for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
             self.ncols,
         )
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat._trusted(
-            [[a - b if b else a for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            self.ncols,
-        )
-
-    def __neg__(self) -> "Mat":
-        return Mat._trusted([[-a for a in r] for r in self.rows], self.ncols)
 
     def scale(self, c) -> "Mat":
         c = _rational(c)
@@ -179,15 +170,6 @@ class Mat:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         return Mat._trusted(_product(self.rows, other.rows, other.ncols, _ZERO), other.ncols)
-
-    def mul_vec(self, v: Sequence) -> Vec:
-        v = as_vec(v)
-        if len(v) != self.ncols:
-            raise ValueError(f"vector of length {len(v)} against {self.nrows}x{self.ncols} matrix")
-        return tuple(sum((a * b for a, b in zip(r, v) if a and b), _ZERO) for r in self.rows)
-
-    def transpose(self) -> "Mat":
-        return Mat._trusted(zip(*self.rows) if self.rows else [()] * self.ncols, self.nrows)
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.rows for a in r)
@@ -241,10 +223,6 @@ def _product(x: Sequence[Sequence], y: Sequence[Sequence], ncols: int, zero) -> 
                         acc[j] += a * b
         out.append(acc)
     return out
-
-
-def commutator(a: Mat, b: Mat) -> Mat:
-    return a @ b - b @ a
 
 
 def _integer_commute(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> bool:
@@ -329,14 +307,6 @@ def _fraction_row(row: Sequence[int], col: int) -> Vec:
     """An integer reduced row divided by its pivot at ``col``: the row over Q."""
     p = row[col]
     return tuple(Fraction(a, p) if a else _ZERO for a in row)
-
-
-def rref(m: Mat) -> Mat:
-    """The unique reduced row echelon form; the row space is preserved."""
-    reduced, pivots = _rref_rows(m.rows)
-    rows = [_fraction_row(row, p) for row, p in zip(reduced, pivots)]
-    rows.extend((_ZERO,) * m.ncols for _ in range(m.nrows - len(pivots)))
-    return Mat._trusted(rows, m.ncols)
 
 
 class Subspace:
@@ -442,9 +412,6 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         self._same_ambient(other)
         return not any(any(self._residue(u)[0]) for u in other.rows)
-
-    def basis_mat(self) -> Mat:
-        return Mat._trusted(self.basis, self.ambient_dim)
 
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

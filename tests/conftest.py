@@ -24,6 +24,8 @@ from toric_cohiggs import (
 )
 from toric_cohiggs.cli import three_lines_bundle  # noqa: F401  (re-exported to the tests)
 
+from reference import mul_vec
+
 
 def standard_cone_fan(n: int) -> Fan:
     """Single-cone fan on the standard basis; legal because completeness is not required."""
@@ -147,7 +149,7 @@ def transform_bundle(v: TVB, g: Mat) -> TVB:
     filts = []
     for f in v.filts:
         steps = [
-            (j, Subspace(v.r, [g.mul_vec(b) for b in sub.basis]))
+            (j, Subspace(v.r, [mul_vec(g, b) for b in sub.basis]))
             for j, sub in f.steps
         ]
         filts.append(normalize_filtration(v.r, steps))

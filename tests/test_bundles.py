@@ -36,7 +36,7 @@ from conftest import (
     standard_cone_fan,
     three_lines_bundle,
 )
-from test_grading_reference import reference_pieces
+from reference import reference_pieces
 
 
 def _line(*coords):
@@ -212,6 +212,18 @@ def test_line_bundle_is_twisted_trivial(fan_zoo):
     assert line_bundle(f, twists) == tensor_line(line_bundle(f, 0), twists)
 
 
+@pytest.mark.parametrize(
+    "twists", [[1.5, 0, 1], [1, 0, True], 2.0, True, {0: 1, 2: 0.5}, {1: False}],
+    ids=["seq-float", "seq-bool", "float", "bool", "map-float", "map-bool"],
+)
+def test_twists_refuse_floats_and_bools(twists):
+    f = fan_pn(2)
+    with pytest.raises(ValueError, match="is not an integer"):
+        line_bundle(f, twists)
+    with pytest.raises(ValueError, match="is not an integer"):
+        tensor_line(tangent_bundle(f), twists)
+
+
 def test_direct_sum_blockwise_dimensions(fan_zoo):
     f = fan_zoo["pn2"]
     v = tangent_bundle(f)
@@ -264,7 +276,7 @@ def test_tangent_p2_grading_pieces():
     sigma = next(c for c in f.max_cones if c.ray_indices == (0, 1))
     out = cone_grading(v, sigma)
     assert isinstance(out, ConeGrading)
-    pieces = out.pieces_dict()
+    pieces = dict(out.pieces)
     assert pieces == {
         (1, 0): Subspace(2, [(1, 0)]),
         (0, 1): Subspace(2, [(0, 1)]),

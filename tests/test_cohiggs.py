@@ -14,7 +14,6 @@ from toric_cohiggs import (
     canonical_pair,
     chart_expansion,
     classify,
-    commutator,
     fan_hirzebruch,
     fan_pn,
     fan_product,
@@ -30,6 +29,7 @@ from toric_cohiggs.fans import dual_basis
 from toric_cohiggs.linalg import solve_linear
 
 from conftest import random_bundle, random_matrix, standard_cone_fan
+from reference import commutator, mat_neg, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ def test_pn_valid_tuples_are_exactly_scalars():
             mats = [random_matrix(rng, n) for _ in range(n)]
             verdict = validate_field(v, mats)
             scalars = all(
-                m == Mat.identity(n).scale(m.entry(0, 0)) for m in mats
+                m == Mat.identity(n).scale(m.rows[0][0]) for m in mats
             )
             assert verdict.valid == (
                 scalars
@@ -164,8 +164,8 @@ def test_chart_on_p2_nonstandard_cone_mixes_entries_integrally():
     sigma = next(c for c in fan.max_cones if c.ray_indices == (1, 2))
     exp = chart_expansion(field, sigma)
     # dual basis is (-1, 1), (-1, 0)
-    assert exp.terms[0][1] == -a1 + a2
-    assert exp.terms[1][1] == -a1
+    assert exp.terms[0][1] == mat_neg(a1) + a2
+    assert exp.terms[1][1] == mat_neg(a1)
 
 
 def test_chart_matrices_recover_the_tuple():
@@ -188,10 +188,10 @@ def test_chart_matrices_recover_the_tuple():
             u_mat = Mat(duals)
             for i in range(r):
                 for j in range(r):
-                    target = [m.entry(i, j) for _, m in exp.terms]
+                    target = [m.rows[i][j] for _, m in exp.terms]
                     coords = solve_linear(u_mat, target)
                     assert coords is not None
-                    assert tuple(coords) == tuple(m.entry(i, j) for m in mats)
+                    assert tuple(coords) == tuple(m.rows[i][j] for m in mats)
 
 
 def test_chart_frames_of_two_cones_differ_by_integer_matrix():
@@ -207,7 +207,7 @@ def test_chart_frames_of_two_cones_differ_by_integer_matrix():
     n = fan.n
     c_rows = []
     for k in range(n):
-        sol = solve_linear(u_sig.transpose(), u_tau.rows[k])
+        sol = solve_linear(transpose(u_sig), u_tau.rows[k])
         assert sol is not None
         assert all(x.denominator == 1 for x in sol)
         c_rows.append(sol)

@@ -3,14 +3,15 @@
 ``commutes`` and ``preserves`` decide commutation and invariance on the
 integer forms of the matrices, and ``verify_integrability`` commutes integer
 chart matrices.  The ``reference_*`` functions below are the Fraction-product
-versions those replaced, kept here only as references:
-``commutator(a, b).is_zero()``, ``mul_vec`` + ``contains_vector``, and chart
-matrices summed from ``Mat.scale``.  The predicates are compared on matrices
-with non-integer rationals, negative entries, zero rows and columns and rank
-one, against zero, full, invariant and nested subspaces.  The verdicts and
-chart expansions are compared on seeded random bundles over P^2, P^1 x P^2,
-P^3 and F_2, with tuples that carry denominators and that are valid, break
-invariance, break commutation, or break both.
+versions those replaced, kept in the tests only as references:
+``commutator(a, b).is_zero()`` and ``mul_vec`` + ``contains_vector`` (both
+from ``reference``), and chart matrices summed from ``Mat.scale``.  The
+predicates are compared on matrices with non-integer rationals, negative
+entries, zero rows and columns and rank one, against zero, full, invariant
+and nested subspaces.  The verdicts and chart expansions are compared on
+seeded random bundles over P^2, P^1 x P^2, P^3 and F_2, with tuples that
+carry denominators and that are valid, break invariance, break commutation,
+or break both.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from toric_cohiggs import (
     Subspace,
     ToricCoHiggsField,
     chart_expansion,
-    commutator,
     commutes,
     fan_hirzebruch,
     fan_pn,
@@ -45,6 +45,7 @@ from toric_cohiggs import (
 from toric_cohiggs.fans import dual_basis
 
 from conftest import random_bundle
+from reference import commutator, mul_vec, only_fractions, transpose
 
 # --------------------------------------------------------------------------
 # the Fraction-product references
@@ -55,7 +56,7 @@ def reference_commutes(a: Mat, b: Mat) -> bool:
 
 
 def reference_preserves(a: Mat, s: Subspace) -> bool:
-    return all(s.contains_vector(a.mul_vec(w)) for w in s.basis)
+    return all(s.contains_vector(mul_vec(a, w)) for w in s.basis)
 
 
 def reference_validate_field(v, mats) -> FieldVerdict:
@@ -66,7 +67,7 @@ def reference_validate_field(v, mats) -> FieldVerdict:
             for j, sub in filt.steps:
                 if sub.dim in (0, v.r):
                     continue
-                if any(not sub.contains_vector(a.mul_vec(w)) for w in sub.basis):
+                if any(not sub.contains_vector(mul_vec(a, w)) for w in sub.basis):
                     filt_bad.append((slot, ray_idx, j))
     comm_bad = []
     for i in range(n):
@@ -149,7 +150,7 @@ def krylov(a: Mat, v) -> Subspace:
     """span(v, a v, a^2 v, ...): the least a-invariant subspace holding v."""
     vectors = [tuple(v)]
     for _ in range(a.nrows):
-        vectors.append(a.mul_vec(vectors[-1]))
+        vectors.append(mul_vec(a, vectors[-1]))
     return Subspace(a.nrows, vectors)
 
 
@@ -163,14 +164,15 @@ def invariance_candidates(draw):
     if kind == "full":
         return a, Subspace.full(n)
     if kind == "image":
-        return a, Subspace(n, a.transpose().rows)
+        return a, Subspace(n, transpose(a).rows)
     vectors = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(draw(st.integers(1, 3)))]
     if kind == "random":
         return a, Subspace(n, vectors)
     s = krylov(a, vectors[0])
     if kind == "nested" and s.dim > 1:
         # a subspace of an invariant one, usually not invariant itself
-        return a, Subspace(n, [s.basis_mat().transpose().mul_vec(w[: s.dim]) for w in vectors])
+        combine = transpose(Mat(s.basis, ncols=n))
+        return a, Subspace(n, [mul_vec(combine, w[: s.dim]) for w in vectors])
     return a, s
 
 
@@ -251,10 +253,6 @@ def random_tuple(rng: random.Random, v, kind: str) -> tuple[Mat, ...]:
     return tuple(Mat([[random_rational(rng) for _ in range(r)] for _ in range(r)]) for _ in range(n))
 
 
-def only_fractions(m: Mat) -> bool:
-    return all(type(x) is Fraction for row in m.rows for x in row)
-
-
 @pytest.mark.parametrize("fan_name", sorted(FANS))
 def test_verdicts_and_charts_match_reference_on_random_bundles(fan_name):
     fan = FANS[fan_name]
@@ -276,7 +274,7 @@ def test_verdicts_and_charts_match_reference_on_random_bundles(fan_name):
         for sigma in fan.max_cones:
             got, want = chart_expansion(field, sigma), reference_chart_expansion(field, sigma)
             assert got == want
-            assert all(only_fractions(m) for _, m in got.terms)
+            assert all(only_fractions(m.rows) for _, m in got.terms)
         outcomes[verdict.filtration_ok, verdict.commutation_ok] += 1
         fractional += any(x.denominator > 1 for m in mats for row in m.rows for x in row)
         if kind == "valid":

@@ -7,9 +7,10 @@ that table.  The reference below is the original path on the ``Fraction``
 basis matrices: one ``solve_linear`` per coordinate vector, the center as the
 kernel of direct commutators with its elements combined from the basis,
 pairwise commutators for commutativity, and the tuple forms read from the
-coordinates of each commutator [A_a, A_b]; the library's sparse forms are
-made dense before they are compared.  Its products are dense sums over
-every pair, independent of the library's sparse product and support filter.
+coordinates of each commutator [A_a, A_b] (``reference.ref_forms``); the
+library's sparse forms are made dense before they are compared.  Its
+products are dense sums over every pair (``reference.mat_mul``), independent
+of the library's sparse product and support filter.
 """
 
 import random
@@ -22,48 +23,30 @@ from toric_cohiggs import (
     Subspace,
     center,
     classify,
-    direct_sum,
     fan_pn,
     filtered_endos,
     is_commutative,
-    line_bundle,
     structure_constants,
     tuple_variety_equations,
 )
 from toric_cohiggs import endalg
 from toric_cohiggs.endalg import FilteredEndAlgebra
 from toric_cohiggs.errors import InternalError
-from toric_cohiggs.linalg import kernel, solve_linear
+from toric_cohiggs.linalg import kernel
 
 from conftest import random_bundle, standard_cone_fan
-
-
-def ref_mul(a, b):
-    cols = list(zip(*b.rows))
-    return Mat([[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.rows],
-               ncols=b.ncols)
-
-
-def ref_commutator(a, b):
-    return ref_mul(a, b) - ref_mul(b, a)
-
-
-def ref_coords(alg, target):
-    cols = Mat([b.vectorize() for b in alg.basis], ncols=alg.bundle.r ** 2).transpose()
-    coords = solve_linear(cols, target.vectorize())
-    assert coords is not None, "element outside the algebra"
-    return coords
+from reference import commutator, line_sum, mat_mul, ref_coords, ref_forms
 
 
 def ref_tensor(alg):
-    return tuple(tuple(ref_coords(alg, ref_mul(a, b)) for b in alg.basis) for a in alg.basis)
+    return tuple(tuple(ref_coords(alg, mat_mul(a, b)) for b in alg.basis) for a in alg.basis)
 
 
 def ref_element(alg, coords):
     r = alg.bundle.r
     return Mat(
         [
-            [sum((c * b.entry(i, j) for c, b in zip(coords, alg.basis)), Fraction(0))
+            [sum((c * b.rows[i][j] for c, b in zip(coords, alg.basis)), Fraction(0))
              for j in range(r)]
             for i in range(r)
         ],
@@ -74,7 +57,7 @@ def ref_element(alg, coords):
 def ref_is_commutative(alg):
     basis = alg.basis
     return all(
-        ref_commutator(basis[i], basis[j]).is_zero()
+        commutator(basis[i], basis[j]).is_zero()
         for i in range(len(basis))
         for j in range(i + 1, len(basis))
     )
@@ -86,26 +69,11 @@ def ref_center(alg):
         return []
     rows = []
     for a in alg.basis:
-        comms = [ref_commutator(b, a).vectorize() for b in alg.basis]
+        comms = [commutator(b, a).vectorize() for b in alg.basis]
         for pos in range(r * r):
             rows.append([comms[b][pos] for b in range(d)])
     coords = kernel(Mat(rows, ncols=d)) if rows else Subspace.full(d)
     return [ref_element(alg, x) for x in coords.basis]
-
-
-def ref_forms(alg):
-    d = alg.dim
-    zero = (0,) * d
-    comm = [[zero] * d for _ in range(d)]
-    for a in range(d):
-        for b in range(a + 1, d):
-            coords = ref_coords(alg, ref_commutator(alg.basis[a], alg.basis[b]))
-            comm[a][b], comm[b][a] = coords, tuple(-x for x in coords)
-    forms = [
-        Mat([[comm[a][b][k] for b in range(d)] for a in range(d)], ncols=d)
-        for k in range(d)
-    ]
-    return tuple(f for f in forms if not f.is_zero())
 
 
 def dense_form(form, d):
@@ -118,13 +86,6 @@ def dense_form(form, d):
             assert value != 0, "a sparse form stores no zero"
             rows[a][b] = value
     return Mat(rows, ncols=d)
-
-
-def line_sum(fan, twists):
-    v = line_bundle(fan, twists[0])
-    for t in twists[1:]:
-        v = direct_sum(v, line_bundle(fan, t))
-    return v
 
 
 def assert_matches_reference(v, n):

@@ -1,6 +1,7 @@
 """The grading walk and the count test against a slow reference walk.
 
-The reference is the original algorithm, kept here as an independent check:
+The reference is the original algorithm, kept in the tests as an independent
+check (its walk is ``reference.reference_pieces``):
 its grid has one extra level below each filtration's first threshold and is
 walked in a sorted order, it folds subspace sums two at a time, it
 row-reduces a fresh full space for every level below the first threshold,
@@ -35,67 +36,16 @@ from toric_cohiggs import (
 )
 from toric_cohiggs.bundles import OracleVerdict, _greedy_pieces
 from toric_cohiggs.fans import dual_basis
-from toric_cohiggs.linalg import complement_within, intersect, subspace_sum
 
 from conftest import random_bundle, random_filtration, standard_cone_fan
+from reference import Values, fresh_full, pairwise_sum, reference_pieces, sum_above, value_at
 
 RADO_SCAN_MAX_RANK = 4
 
 
-def _fresh_full(r):
-    return Subspace(r, [[int(i == j) for j in range(r)] for i in range(r)])
-
-
-def _at(filt, i):
-    below = sum(1 for j in filt.thresholds if j < i)
-    return _fresh_full(filt.r) if below == 0 else filt.steps[below - 1][1]
-
-
-def _pairwise_sum(subspaces, r):
-    out = Subspace.zero(r)
-    for s in subspaces:
-        out = subspace_sum(out, s)
-    return out
-
-
-class _Values:
-    """F(levels) = ∩_k F_k(levels_k), memoized by prefix."""
-
-    def __init__(self, filts, r):
-        self.filts = filts
-        self.cache = {(): _fresh_full(r)}
-
-    def __call__(self, levels):
-        if levels not in self.cache:
-            k = len(levels) - 1
-            self.cache[levels] = intersect(self(levels[:-1]), _at(self.filts[k], levels[k]))
-        return self.cache[levels]
-
-
-def _above(value, levels, r):
-    bumped = (levels[:k] + (lv + 1,) + levels[k + 1:] for k, lv in enumerate(levels))
-    return _pairwise_sum((value(b) for b in bumped), r)
-
-
-def reference_pieces(filts, r, key=lambda lv: (sum(lv), lv)):
-    """Greedy pieces from a walk of the grid in descending ``key`` order."""
-    value = _Values(filts, r)
-    axes = [[f.thresholds[0] - 1, *f.thresholds] for f in filts]
-    points = sorted(itertools.product(*axes), key=key, reverse=True)
-    pieces = {}
-    for levels in points:
-        here = value(levels)
-        if here.is_zero():
-            continue
-        above = _above(value, levels, r)
-        if above != here:
-            pieces[levels] = complement_within(above, here)
-    return pieces
-
-
 def reference_verify(filts, ray_indices, r, pieces):
     total = sum(p.dim for p in pieces.values())
-    span = _pairwise_sum(pieces.values(), r)
+    span = pairwise_sum(pieces.values(), r)
     if span.dim != total:
         return (
             f"candidate pieces are not jointly independent: dimensions sum to "
@@ -105,8 +55,8 @@ def reference_verify(filts, ray_indices, r, pieces):
         return f"candidate piece dimensions sum to {total}, expected rank {r}"
     for k, (filt, ray_idx) in enumerate(zip(filts, ray_indices)):
         for i in list(filt.thresholds) + [filt.thresholds[-1] + 1]:
-            rebuilt = _pairwise_sum((p for lv, p in pieces.items() if lv[k] >= i), r)
-            expected = _at(filt, i)
+            rebuilt = pairwise_sum((p for lv, p in pieces.items() if lv[k] >= i), r)
+            expected = value_at(filt, i)
             if rebuilt != expected:
                 return (
                     f"ray {ray_idx} at level {i}: graded pieces rebuild a subspace "
@@ -119,13 +69,13 @@ def reference_verify(filts, ray_indices, r, pieces):
 def reference_oracle(v, sigma):
     filts = [v.filts[i] for i in sigma.ray_indices]
     r = v.r
-    value = _Values(filts, r)
+    value = Values(filts, r)
     mult = {}
     for levels in itertools.product(*(f.thresholds for f in filts)):
         here = value(levels)
         if here.is_zero():
             continue
-        m = here.dim - _above(value, levels, r).dim
+        m = here.dim - sum_above(value, levels, r).dim
         if m > 0:
             mult[levels] = m
     total = sum(mult.values())
@@ -134,11 +84,11 @@ def reference_oracle(v, sigma):
     for k, (filt, ray_idx) in enumerate(zip(filts, sigma.ray_indices)):
         for i in list(filt.thresholds) + [filt.thresholds[-1] + 1]:
             count = sum(m for lv, m in mult.items() if lv[k] >= i)
-            if count != _at(filt, i).dim:
+            if count != value_at(filt, i).dim:
                 return OracleVerdict(
                     False,
                     f"ray {ray_idx} at level {i}: multiplicities give dimension "
-                    f"{count}, filtration value has dimension {_at(filt, i).dim}",
+                    f"{count}, filtration value has dimension {value_at(filt, i).dim}",
                 )
     if r > RADO_SCAN_MAX_RANK:
         return OracleVerdict(True)
@@ -146,7 +96,7 @@ def reference_oracle(v, sigma):
     for size in range(1, len(support) + 1):
         for subset in itertools.combinations(support, size):
             need = sum(m for _, m in subset)
-            span = _pairwise_sum((value(lv) for lv, _ in subset), r)
+            span = pairwise_sum((value(lv) for lv, _ in subset), r)
             if span.dim < need:
                 return OracleVerdict(
                     False,
@@ -213,16 +163,16 @@ def test_greedy_pieces_span_every_value_above_them():
         v = random_bundle(rng, standard_cone_fan(n), r)
         filts = v.filts
         pieces = _greedy_pieces(v, v.fan.max_cones[0])
-        value = _Values(filts, r)
+        value = Values(filts, r)
         for u in itertools.product(*(f.thresholds for f in filts)):
             above = (p for v, p in pieces.items() if all(a >= b for a, b in zip(v, u)))
-            assert _pairwise_sum(above, r) == value(u)
-        assert _pairwise_sum(pieces.values(), r) == _fresh_full(r)
+            assert pairwise_sum(above, r) == value(u)
+        assert pairwise_sum(pieces.values(), r) == fresh_full(r)
         assert sum(p.dim for p in pieces.values()) >= r
         for k, filt in enumerate(filts):
             for i in range(filt.thresholds[0] - 1, filt.thresholds[-1] + 2):
-                rebuilt = _pairwise_sum((p for v, p in pieces.items() if v[k] >= i), r)
-                assert rebuilt == _at(filt, i)
+                rebuilt = pairwise_sum((p for v, p in pieces.items() if v[k] >= i), r)
+                assert rebuilt == value_at(filt, i)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

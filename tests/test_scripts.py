@@ -8,6 +8,7 @@ script runs in-process through its ``main``, never with ``--write``.
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -60,3 +61,13 @@ def test_check_scale_runs_on_small_dimensions(capsys, monkeypatch):
     sizes = [int(row.split()[3]) for row in rows]
     assert all(size > 0 for size in sizes)
     assert sizes[0::2] == sorted(sizes[0::2]) and sizes[1::2] == sorted(sizes[1::2])
+
+
+def test_import_rss_reports_memory_after_the_benchmark_set_up_imports(capsys):
+    assert load_script("import_rss").main() == 0
+    lines = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    repeats = re.search(r"^SETUP_REPEATS = (\d+)$", (ROOT / "bench" / "run.py").read_text(), re.M)
+    assert lines.pop("imports") == repeats.group(1)
+    before, after, peak = (float(lines[k]) for k in ("vmrss_before_mb", "vmrss_after_mb",
+                                                     "ru_maxrss_mb"))
+    assert 0 < before < after <= peak

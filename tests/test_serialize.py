@@ -160,7 +160,7 @@ def test_dumps_canonical_is_sorted_and_newline_terminated():
 
 
 def test_sparse_forms_render_as_the_reference_dense_forms():
-    from test_endalg_reference import line_sum, ref_forms
+    from reference import line_sum, ref_forms
 
     from toric_cohiggs import fan_pn, filtered_endos, tuple_variety_equations
     from toric_cohiggs.serialize import tuple_eqs_to_obj

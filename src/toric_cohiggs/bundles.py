@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Iterable, Mapping
@@ -196,8 +197,10 @@ class TVB:
 
 
 def _twist(x) -> int:
-    """One twist as an int; a float or bool is refused, not truncated."""
-    if isinstance(x, (float, bool)):
+    """One twist: an int, or a Fraction that is one; anything else is refused, not truncated."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    if not isinstance(x, int) or isinstance(x, bool):
         raise ValueError(f"twist {x!r} is not an integer")
     return int(x)
 
@@ -206,7 +209,7 @@ def _per_ray_ints(fan: Fan, a) -> tuple[int, ...]:
     """Accept an int (constant), a sequence, or a mapping ray index -> int."""
     if isinstance(a, Mapping):
         return tuple(_twist(a.get(i, 0)) for i in range(len(fan.rays)))
-    if isinstance(a, (int, float)):
+    if isinstance(a, (int, float, Fraction)):
         return (_twist(a),) * len(fan.rays)
     vals = tuple(map(_twist, a))
     if len(vals) != len(fan.rays):

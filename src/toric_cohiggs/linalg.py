@@ -7,19 +7,20 @@ echelon basis with each row scaled to a primitive integer vector whose pivot
 is positive.  That form is a bijection with the reduced row echelon basis
 over Q (divide each row by its pivot), so equality of subspaces is equality
 of their integer rows, and the Fraction basis is only built, once and on
-demand, for reports and outside callers.  Every operation that returns a
-basis lists it in pivot-ascending order.
+demand, for outside callers: reports are written from the integer rows.
+Every operation that returns a basis lists it in pivot-ascending order.
 
-Elimination runs on integer rows: each input row is scaled by the lcm of its
-denominators, Gauss-Jordan proceeds by integer cross-multiplication with
-every updated row divided by its content, and each pivot row is divided by
-its content, signed so the pivot is positive, at the end.  Intersections,
-sums, complements, kernels and annihilators build and consume these integer
-rows directly; kernel vectors are read off the integer reduced rows by
-scaling each free column by the lcm of the pivots it meets.  The internal
-constructors ``Subspace._canonical`` and ``Mat._trusted`` store rows that are
-already canonical without checking them again; ``as_vec`` is the entry point
-for outside values.
+Elimination runs on integer rows, and input rows become integer rows there
+and only there: ``_rref_rows`` scales each by the lcm of its denominators (a
+row of ints is taken as it is).  Gauss-Jordan proceeds by integer
+cross-multiplication with every updated row divided by its content, and each
+pivot row is divided by its content, signed so the pivot is positive, at the
+end.  Intersections, sums, complements, kernels and annihilators build and
+consume these integer rows directly; kernel vectors are read off the integer
+reduced rows by scaling each free column by the lcm of the pivots it meets.
+The internal constructors ``Subspace._canonical`` and ``Mat._trusted`` store
+rows that are already canonical without checking them again; ``as_vec`` is
+the entry point for outside values.
 
 The predicates ``commutes`` and ``preserves`` are decided on integer
 multiples too, which is exact because both are invariant under nonzero
@@ -243,14 +244,15 @@ def commutes(a: Mat, b: Mat) -> bool:
     return _integer_commute(a._integer_form()[1], b._integer_form()[1])
 
 
-def _integer_row(row: Sequence) -> list[int]:
+def _integer_row(row: Sequence) -> Sequence[int]:
     """The row times the lcm of its denominators: integers, same direction.
 
-    Entries are ints or Fractions; anything else goes through ``as_vec``.
+    Entries are ints or Fractions (a row of ints is returned as it is);
+    anything else goes through ``as_vec``.
     """
     kinds = set(map(type, row))
     if kinds <= {int}:
-        return list(row)
+        return row
     if not kinds <= {int, Fraction}:
         row = as_vec(row)
     den = lcm(*(a.denominator for a in row))
@@ -258,13 +260,14 @@ def _integer_row(row: Sequence) -> list[int]:
 
 
 def _rref_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan on integer copies; returns (all rows incl. zero rows, pivot columns).
+    """Gauss-Jordan on integer rows; returns (all rows incl. zero rows, pivot columns).
 
     Clearing column c of a row with entry f against the pivot row with pivot
     p replaces the row by p*row - f*pivot_row, divided by its content.  Each
     pivot row is divided by its content at the end, signed so that its pivot
     is positive: the result is the reduced row echelon form with every row
-    scaled to a primitive integer vector, which is unique.
+    scaled to a primitive integer vector, which is unique.  Input rows are
+    never mutated, so a row of ints is used as it is.
     """
     m = [_integer_row(r) for r in rows]
     if not m:
@@ -324,7 +327,7 @@ class Subspace:
     def __init__(self, ambient_dim: int, vectors: Iterable[Iterable] = ()):
         if ambient_dim < 0:
             raise ValueError("negative ambient dimension")
-        rows = [_integer_row(tuple(v)) for v in vectors]
+        rows = list(map(tuple, vectors))  # _rref_rows makes them integer rows
         for v in rows:
             if len(v) != ambient_dim:
                 raise ValueError(f"vector of length {len(v)} in ambient dimension {ambient_dim}")

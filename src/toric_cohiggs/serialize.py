@@ -12,6 +12,11 @@ else.  Subspace bases may arrive non-canonical; parsing canonicalizes them.
 Serialization is canonical (sorted keys, canonical bases, trailing newline),
 so that serialize -> parse -> serialize is byte-identical.
 
+Each value is converted once each way.  Loading parses each distinct string
+of one input object once (``_entry``), and ``linalg._rref_rows`` scales each
+basis row to integers once.  A report writes each basis entry from a
+canonical integer row and its pivot d, as a/d reduced by one gcd.
+
 ``dumps_canonical`` writes that text itself, byte-identical to
 ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline: ``indent``
 keeps the library on its pure-Python encoder, which dominated large reports.
@@ -25,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from pathlib import Path
 
 from .bundles import (
@@ -78,6 +83,9 @@ def _write(obj, pad: str, out: list, rows: dict) -> None:
             out.append("[]")
             return
         inner = pad + "  "
+        if type(obj[0]) is int and set(map(type, obj)) == {int}:  # one chunk; no bools
+            out.append(f"[\n{inner}" + f",\n{inner}".join(map(int.__repr__, obj)) + f"\n{pad}]")
+            return
         if type(obj[0]) is str:
             key = (id(obj), pad)
             chunk = rows.get(key)
@@ -143,23 +151,19 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _rat(a) -> tuple[int, int]:
+def _entry(a, memo: dict):
     """A JSON integer, or a string "p" or "p/q" of the rational grammar
-    (``linalg.rat_from_str``), as the pair (p, q).
-
-    A JSON float is not an exact rational.
+    (``linalg.rat_from_str``), as an int if integral, else a Fraction; memo
+    maps each string parsed so far to its value.  A float is not exact.
     """
-    if not isinstance(a, str):
-        _expect(_is_int(a), f"entry {a!r} is not an integer or a 'p/q' string")
-        return a, 1
-    return _rational_pair(a)
-
-
-def _integer_vector(row) -> list[int]:
-    """A row of schema rationals scaled by the lcm of its denominators."""
-    pairs = [_rat(a) for a in row]
-    den = lcm(*(q for _, q in pairs))
-    return [p * (den // q) for p, q in pairs]
+    if isinstance(a, str):
+        got = memo.get(a)
+        if got is None:
+            p, q = _rational_pair(a)
+            got = memo[a] = p if q == 1 else Fraction(p, q)
+        return got
+    _expect(_is_int(a), f"entry {a!r} is not an integer or a 'p/q' string")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +176,9 @@ def mat_to_obj(m: Mat) -> list[list[str]]:
 def mat_from_obj(obj, nrows: int | None = None, ncols: int | None = None) -> Mat:
     _expect(isinstance(obj, list) and all(isinstance(r, list) for r in obj),
             "matrix must be a list of rows")
+    memo: dict = {}
     try:
-        rows = [[Fraction(*_rat(a)) for a in r] for r in obj]
+        rows = [[_entry(a, memo) for a in r] for r in obj]
         m = Mat(rows, ncols=ncols if not rows else None)
     except ValueError as exc:
         raise SchemaError(f"bad matrix: {exc}") from exc
@@ -185,7 +190,13 @@ def mat_from_obj(obj, nrows: int | None = None, ncols: int | None = None) -> Mat
 
 
 def subspace_to_obj(s: Subspace) -> list[list[str]]:
-    return [[rat_str(a) for a in row] for row in s.basis]
+    """The basis over Q from the integer rows: a/d in lowest terms, d the pivot."""
+    out = []
+    for row, col in zip(s.rows, s.pivots):
+        d = row[col]
+        out.append([int.__repr__(a // d) if (g := gcd(a, d)) == d else f"{a // g}/{d // g}"
+                    for a in row])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +220,17 @@ def fan_from_obj(obj) -> Fan:
     _expect(isinstance(rays, list), "rays must be a list")
     parsed_rays = []
     for r in rays:
-        _expect(isinstance(r, list) and all(_is_int(a) for a in r),
-                f"each of 'rays' must be a list of integers, got {r!r}")
+        if not (isinstance(r, list) and all(map(_is_int, r))):
+            raise SchemaError(f"each of 'rays' must be a list of integers, got {r!r}")
         parsed_rays.append(tuple(r))
     cones = obj["max_cones"]
     _expect(isinstance(cones, list) and cones, "max_cones must be a nonempty list")
     parsed_cones = []
     for c in cones:
-        _expect(isinstance(c, list) and all(_is_int(i) for i in c),
-                f"each of 'max_cones' must be a list of ray indices, got {c!r}")
-        _expect(all(0 <= i < len(parsed_rays) for i in c),
-                f"cone {c} has a ray index out of range")
+        if not (isinstance(c, list) and all(map(_is_int, c))):
+            raise SchemaError(f"each of 'max_cones' must be a list of ray indices, got {c!r}")
+        if not all(0 <= i < len(parsed_rays) for i in c):
+            raise SchemaError(f"cone {c} has a ray index out of range")
         try:
             parsed_cones.append(Cone(tuple(c)))
         except ValueError as exc:
@@ -259,28 +270,30 @@ def bundle_from_obj(obj, base_dir: Path | None = None) -> TVB:
     filt_objs = obj["filtrations"]
     _expect(isinstance(filt_objs, list), "filtrations must be a list")
     by_ray: dict[int, Filtration] = {}
+    memo: dict = {}
     for fo in filt_objs:
         _expect(isinstance(fo, dict) and "ray" in fo and "steps" in fo,
                 "each filtration needs 'ray' and 'steps'")
         ray = fo["ray"]
-        _expect(_is_int(ray), f"filtration 'ray' must be an integer, got {ray!r}")
-        _expect(0 <= ray < len(fan.rays),
-                f"filtration ray index {ray} out of range")
-        _expect(ray not in by_ray, f"two filtrations for ray {ray}")
+        if not _is_int(ray):
+            raise SchemaError(f"filtration 'ray' must be an integer, got {ray!r}")
+        if not 0 <= ray < len(fan.rays):
+            raise SchemaError(f"filtration ray index {ray} out of range")
+        if ray in by_ray:
+            raise SchemaError(f"two filtrations for ray {ray}")
         steps = []
-        _expect(isinstance(fo["steps"], list) and fo["steps"],
-                f"filtration for ray {ray} needs at least one step")
+        if not (isinstance(fo["steps"], list) and fo["steps"]):
+            raise SchemaError(f"filtration for ray {ray} needs at least one step")
         for so in fo["steps"]:
             _expect(isinstance(so, dict) and "j" in so and "basis" in so,
                     "each step needs 'j' and 'basis'")
-            _expect(_is_int(so["j"]),
-                    f"step threshold 'j' must be an integer, got {so['j']!r}")
+            if not _is_int(so["j"]):
+                raise SchemaError(f"step threshold 'j' must be an integer, got {so['j']!r}")
             _expect(isinstance(so["basis"], list)
                     and all(isinstance(row, list) for row in so["basis"]),
                     "step basis must be a list of rows")
             try:
-                vectors = [_integer_vector(row) for row in so["basis"]]
-                sub = Subspace(rank, vectors)
+                sub = Subspace(rank, [[_entry(a, memo) for a in row] for row in so["basis"]])
             except ValueError as exc:
                 raise SchemaError(f"bad step basis for ray {ray}: {exc}") from exc
             steps.append((so["j"], sub))

@@ -11,6 +11,8 @@ They live in one module so that no ``test_*`` module imports another:
 - the grading walk of the whole threshold grid in a sorted order;
 - the endomorphism algebra's coordinates and commutator forms from direct
   commutators, and the sparse forms evaluated on coordinate vectors;
+- a subspace's report rows through its ``Fraction`` basis and ``rat_str``,
+  the renderer that writing from the integer rows replaced;
 - the face check of a fan by extreme-ray enumeration: two maximal cones must
   meet in the cone on their shared rays (Cox-Little-Schenck, *Toric
   Varieties*, Lemma 1.2.13).  The library does not check this yet.
@@ -29,6 +31,7 @@ from toric_cohiggs.linalg import (
     complement_within,
     intersect,
     kernel,
+    rat_str,
     solve_linear,
     subspace_sum,
 )
@@ -75,6 +78,14 @@ def mul_vec(a: Mat, v) -> tuple[Fraction, ...]:
 
 def commutator(a: Mat, b: Mat) -> Mat:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+# --------------------------------------------------------------------------
+# rendering
+
+def subspace_text(s: Subspace) -> list[list[str]]:
+    """The report rows of s: each entry of its reduced basis over Q, as text."""
+    return [[rat_str(a) for a in row] for row in s.basis]
 
 
 # --------------------------------------------------------------------------

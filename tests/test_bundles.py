@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -222,6 +224,36 @@ def test_twists_refuse_floats_and_bools(twists):
         line_bundle(f, twists)
     with pytest.raises(ValueError, match="is not an integer"):
         tensor_line(tangent_bundle(f), twists)
+
+
+@pytest.mark.parametrize(
+    "twists, bad",
+    [
+        ([Fraction(3, 2), Fraction(-1, 2), "2"], "Fraction(3, 2)"),
+        ([2, 0, "2"], "'2'"),
+        ({0: Fraction(5, 2)}, "Fraction(5, 2)"),
+        (Fraction(1, 3), "Fraction(1, 3)"),
+        ("2", "'2'"),
+    ],
+    ids=["seq-fraction", "seq-string", "map-fraction", "fraction", "string"],
+)
+def test_twists_refuse_non_integral_fractions_and_strings(twists, bad):
+    f = fan_pn(2)
+    message = re.escape(f"twist {bad} is not an integer")
+    with pytest.raises(ValueError, match=message):
+        line_bundle(f, twists)
+    with pytest.raises(ValueError, match=message):
+        tensor_line(tangent_bundle(f), twists)
+
+
+def test_twists_accept_integral_fractions():
+    f = fan_pn(2)
+    v = line_bundle(f, [Fraction(2), Fraction(-4, 2), 0])
+    assert v == line_bundle(f, [2, -2, 0])
+    assert all(type(j) is int for filt in v.filts for j in filt.thresholds)
+    assert line_bundle(f, Fraction(3)) == line_bundle(f, 3)
+    t = tangent_bundle(f)
+    assert tensor_line(t, {0: Fraction(5, 1)}) == tensor_line(t, {0: 5})
 
 
 def test_direct_sum_blockwise_dimensions(fan_zoo):

@@ -71,3 +71,32 @@ def test_import_rss_reports_memory_after_the_benchmark_set_up_imports(capsys):
     before, after, peak = (float(lines[k]) for k in ("vmrss_before_mb", "vmrss_after_mb",
                                                      "ru_maxrss_mb"))
     assert 0 < before < after <= peak
+
+
+def test_bench_pairs_summarizes_synthetic_runs():
+    script = load_script("bench_pairs")
+    better = {"wall_ref": "lower", "ok_share": "higher"}
+    parent = [{"wall_ref": w, "ok_share": 1.0} for w in (1.2, 1.0, 1.4, 1.1, 1.3)]
+    change = [{"wall_ref": w, "ok_share": s} for w, s in
+              ((1.0, 1.0), (1.1, 1.0), (0.9, 0.5), (1.05, 1.0), (1.2, 1.0))]
+    summary = script.summarize(parent, change, better)
+    assert summary["pairs"] == 5
+    wall = summary["wall_ref"]
+    assert wall["parent"] == {"median": 1.2, "q1": 1.1, "q3": 1.3}
+    assert wall["change"] == {"median": 1.05, "q1": 1.0, "q3": 1.1}
+    assert wall["change_wins"] == 4  # pair 2 is a loss
+    assert wall["parent_runs"] == [1.2, 1.0, 1.4, 1.1, 1.3]
+    assert wall["change_runs"] == [1.0, 1.1, 0.9, 1.05, 1.2]
+    ok = summary["ok_share"]
+    assert ok["change_wins"] == 0  # ties are not wins; higher is better here
+    assert ok["change"]["median"] == 1.0 and ok["change"]["q1"] == 1.0
+
+
+def test_bench_pairs_alternates_the_order_and_reads_the_metric_directions():
+    script = load_script("bench_pairs")
+    assert [script.sides_in_order(p)[0] for p in range(1, 5)] == [
+        "parent", "change", "parent", "change"]
+    better = script.directions(ROOT)
+    assert better["wall_ref"] == "lower" and better["ok_share"] == "higher"
+    assert set(better) == {m["name"] for m in
+                           json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}

@@ -1,10 +1,14 @@
-"""File schemas: round-trips, canonicalization of loose input, error reporting."""
+"""File schemas: round-trips, canonicalization of loose input, error reporting,
+and the single conversion of each value on the way in and on the way out."""
 
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from toric_cohiggs import Mat, Subspace, field_from_vector_field
+from reference import subspace_text
+from toric_cohiggs import Mat, Subspace, cli, field_from_vector_field, linalg, serialize
 from toric_cohiggs.errors import SchemaError
 from toric_cohiggs.serialize import (
     bundle_from_obj,
@@ -19,6 +23,7 @@ from toric_cohiggs.serialize import (
     mat_from_obj,
     mat_to_obj,
     save_json,
+    subspace_to_obj,
 )
 
 
@@ -101,25 +106,43 @@ def test_mat_from_obj_validates_shape():
         mat_from_obj([["x"]])
 
 
-@pytest.mark.parametrize(
-    "breakage",
-    [
-        lambda o: o.pop("rank"),
-        lambda o: o.update(rank=0),
-        lambda o: o["filtrations"].pop(),
-        lambda o: o["filtrations"][0].update(ray=99),
-        lambda o: o["filtrations"][0]["steps"][0].update(j="zero"),
-        lambda o: o["fan"].update(max_cones=[]),
-        lambda o: o["fan"].update(max_cones=[[0, 7]]),
-        # a string row would otherwise be read digit by digit, as (1, 0)
-        lambda o: o["filtrations"][0]["steps"][0].update(basis=["10"]),
-    ],
-)
+# Each breakage of the tangent bundle of P^2, with the exact message it raises.
+SCHEMA_BREAKAGES = [
+    (lambda o: o.pop("rank"), "bundle object lacks key 'rank'"),
+    (lambda o: o.update(rank=0), "'rank' must be a positive integer"),
+    (lambda o: o["filtrations"].pop(), "no filtration given for ray 2"),
+    (lambda o: o["filtrations"][0].update(ray=99), "filtration ray index 99 out of range"),
+    (lambda o: o["filtrations"][0]["steps"][0].update(j="zero"),
+     "step threshold 'j' must be an integer, got 'zero'"),
+    (lambda o: o["fan"].update(max_cones=[]), "max_cones must be a nonempty list"),
+    (lambda o: o["fan"].update(max_cones=[[0, 7]]), "cone [0, 7] has a ray index out of range"),
+    # a string row would otherwise be read digit by digit, as (1, 0)
+    (lambda o: o["filtrations"][0]["steps"][0].update(basis=["10"]),
+     "step basis must be a list of rows"),
+    (lambda o: o["filtrations"][0].update(ray=-1), "filtration ray index -1 out of range"),
+    (lambda o: o["filtrations"][0].update(ray="0"),
+     "filtration 'ray' must be an integer, got '0'"),
+    (lambda o: o["filtrations"][1].update(ray=0), "two filtrations for ray 0"),
+    (lambda o: o["filtrations"][0].update(steps=[]),
+     "filtration for ray 0 needs at least one step"),
+    (lambda o: o["fan"]["rays"].__setitem__(0, [1, "0"]),
+     "each of 'rays' must be a list of integers, got [1, '0']"),
+    (lambda o: o["fan"].update(max_cones=[[0, "1"]]),
+     "each of 'max_cones' must be a list of ray indices, got [0, '1']"),
+    (lambda o: o["filtrations"][0]["steps"][0].update(basis=[[1.0, 0]]),
+     "bad step basis for ray 0: entry 1.0 is not an integer or a 'p/q' string"),
+    (lambda o: o["filtrations"][0]["steps"][0].update(basis=[["1/0", "0"]]),
+     "bad step basis for ray 0: not a rational: '1/0'"),
+]
+
+
+@pytest.mark.parametrize("breakage", [breakage for breakage, _ in SCHEMA_BREAKAGES])
 def test_bundle_schema_violations_raise(bundle_zoo, breakage):
     obj = bundle_to_obj(bundle_zoo["tangent_pn2"])
     breakage(obj)
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as info:
         bundle_from_obj(obj)
+    assert str(info.value) == dict(SCHEMA_BREAKAGES)[breakage]
 
 
 def test_tuple_length_must_match_lattice_rank(bundle_zoo):
@@ -175,3 +198,75 @@ def test_sparse_forms_render_as_the_reference_dense_forms():
 def test_mat_to_obj_writes_zero_cells_as_zero():
     m = Mat([[0, "-1/2"], ["3", 0]])
     assert mat_to_obj(m) == [["0", "-1/2"], ["3", "0"]]
+
+
+# ---------------------------------------------------------------------------
+# one conversion each way
+
+entries = st.integers(-9, 9) | st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def subspaces(draw):
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=n + 1))
+    return Subspace(n, rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(subspaces())
+@example(Subspace(4, [(0, 4, -6, 2), (0, 0, 0, 0)]))  # integer row (0, 2, -3, 1): pivot 2
+@example(Subspace(3, [(-3, 0, 5), (0, -7, 1)]))
+@example(Subspace(0, []))
+def test_subspace_to_obj_matches_the_fraction_basis_text(s):
+    assert subspace_to_obj(s) == subspace_text(s)
+
+
+def test_subspace_to_obj_divides_by_a_non_unit_pivot():
+    s = Subspace(4, [(0, 4, -6, 2)])
+    assert s.rows == ((0, 2, -3, 1),)
+    assert subspace_to_obj(s) == [["0", "1", "-3/2", "1/2"]]
+
+
+def _counting(monkeypatch, module, name: str, calls: list):
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("name", ["tangent_pn3", "tangent_hirz3", "sum_hirz2", "three_lines"])
+def test_loading_converts_each_entry_once(bundle_zoo, monkeypatch, name):
+    obj = json.loads(dumps_canonical(bundle_to_obj(bundle_zoo[name])))
+    bases = [step["basis"] for f in obj["filtrations"] for step in f["steps"]]
+    rrefs, int_rows, parses = [], [], []
+    _counting(monkeypatch, linalg, "_rref_rows", rrefs)
+    _counting(monkeypatch, linalg, "_integer_row", int_rows)
+    _counting(monkeypatch, serialize, "_rational_pair", parses)
+    for _ in range(2):  # nothing is remembered from one load to the next
+        for calls in (rrefs, int_rows, parses):
+            calls.clear()
+        assert bundle_from_obj(obj) == bundle_zoo[name]
+        # one elimination per step basis; an empty one returns at once
+        assert [len(rows) for (rows,) in rrefs if rows] == [len(b) for b in bases if b]
+        assert len(rrefs) == len(bases)
+        # each row becomes an integer row once, each distinct string is parsed once
+        assert len(int_rows) == sum(map(len, bases))
+        distinct = {a for b in bases for row in b for a in row}
+        assert sorted(a for (a,) in parses) == sorted(distinct)
+
+
+def test_check_never_builds_a_fraction_basis(bundle_zoo, tmp_path, monkeypatch, capsys):
+    built = []
+    fget = Subspace.basis.fget
+    monkeypatch.setattr(Subspace, "basis", property(lambda s: built.append(s) or fget(s)))
+    for name in ("tangent_pn3", "sum_hirz2", "three_lines"):
+        path = tmp_path / f"{name}.json"
+        save_json(path, bundle_to_obj(bundle_zoo[name]))
+        for fmt in ("json", "text"):
+            assert cli.main(["check", str(path), "--format", fmt]) == 0
+            assert ("basis" in capsys.readouterr().out) == (name != "three_lines")
+    assert built == []

@@ -84,13 +84,17 @@ scalars = (
 
 
 def _containers(children):
-    # a list whose first item is a string, though not every item is one
-    mixed_row = st.tuples(strings, st.lists(children, min_size=1)).map(
+    # a list whose first item is a string or an int, though not every item is one
+    mixed_row = st.tuples(strings | st.integers(), st.lists(children, min_size=1)).map(
         lambda p: [p[0], *p[1]]
     )
     return (
         st.lists(children, max_size=4)
         | st.lists(strings, max_size=4)
+        # lists of ints are one chunk; a bool among them must stay a JSON bool
+        | st.lists(st.integers(), max_size=4)
+        | st.lists(st.booleans(), max_size=4)
+        | st.lists(st.integers() | st.booleans(), max_size=4)
         | st.lists(children, max_size=3).map(tuple)
         | mixed_row
         | st.dictionaries(strings, children, max_size=4)
@@ -121,6 +125,12 @@ def test_scalar_json_matches_json_dumps(x):
 def test_repeated_row_objects_render_at_each_depth():
     row = ["0", "1/2"]
     obj = {"a": [row, row], "b": [[row], row], "c": row}
+    assert dumps_canonical(obj) == ref_json(obj)
+    assert text(obj) == ref_text(obj)
+
+
+def test_int_lists_keep_their_bools_and_tuples():
+    obj = {"u": [1, -2, 0], "flags": [1, True, False], "t": (3, 4), "mixed": [0, "a", [5]]}
     assert dumps_canonical(obj) == ref_json(obj)
     assert text(obj) == ref_text(obj)
 

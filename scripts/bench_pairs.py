@@ -12,11 +12,10 @@ strictly better, in the metric's direction) and every run, in pair order.
 This is the layout of a ``benchmark.workloads`` entry of the ``BENCH_*.json``
 files.
 
-The summary is printed as JSON.  With ``--out FILE`` it is also stored in
-FILE (created if missing) under ``benchmark.workloads.W``.
+The summary is printed to stdout as JSON; progress goes to stderr.
 
 Usage: python3 scripts/bench_pairs.py PARENT CHANGE --workload check_ladder \\
-           --seed 6022 --pairs 10 --seconds 40 [--out BENCH.json]
+           --seed 6022 --pairs 10 --seconds 40 > pairs.json
 """
 
 from __future__ import annotations
@@ -74,21 +73,6 @@ def summarize(parent_runs: list[dict], change_runs: list[dict], better: dict[str
     return out
 
 
-def store(path: Path, args, summary: dict) -> None:
-    doc = json.loads(path.read_text()) if path.is_file() else {}
-    bench = doc.setdefault("benchmark", {
-        "command": f"python3 bench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "order": f"{args.pairs} pairs per workload; odd pairs run the parent first, "
-                 "even pairs the change first",
-        "quartiles": "statistics.quantiles(n=4, method='inclusive') over the runs of each side",
-    })
-    bench.setdefault("workloads", {})[args.workload] = summary
-    path.write_text(json.dumps(doc, indent=1) + "\n")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -97,7 +81,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--out", type=Path, help="JSON file to store the summary in")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("need at least 2 pairs for quartiles")
@@ -109,8 +92,6 @@ def main(argv=None) -> int:
             print(f"pair {pair} {side} wall_ref {metrics['wall_ref']:.4f}", file=sys.stderr,
                   flush=True)
     summary = summarize(runs["parent"], runs["change"], directions(args.change))
-    if args.out is not None:
-        store(args.out, args, summary)
     print(json.dumps(summary, indent=1))
     return 0
 

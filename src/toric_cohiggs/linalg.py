@@ -259,7 +259,7 @@ def _integer_row(row: Sequence) -> Sequence[int]:
     return [a.numerator * (den // a.denominator) for a in row]
 
 
-def _rref_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
+def _rref_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[Sequence[int]], list[int]]:
     """Gauss-Jordan on integer rows; returns (all rows incl. zero rows, pivot columns).
 
     Clearing column c of a row with entry f against the pivot row with pivot
@@ -267,7 +267,8 @@ def _rref_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]
     pivot row is divided by its content at the end, signed so that its pivot
     is positive: the result is the reduced row echelon form with every row
     scaled to a primitive integer vector, which is unique.  Input rows are
-    never mutated, so a row of ints is used as it is.
+    never mutated, so a row of ints is used as it is: a returned row may be
+    the caller's own input row, and must not be mutated either.
     """
     m = [_integer_row(r) for r in rows]
     if not m:

@@ -13,9 +13,10 @@ Serialization is canonical (sorted keys, canonical bases, trailing newline),
 so that serialize -> parse -> serialize is byte-identical.
 
 Each value is converted once each way.  Loading parses each distinct string
-of one input object once (``_entry``), and ``linalg._rref_rows`` scales each
-basis row to integers once.  A report writes each basis entry from a
-canonical integer row and its pivot d, as a/d reduced by one gcd.
+of one input object once (``_entry``): a matrix entry becomes the Fraction
+``Mat`` keeps, and ``linalg._rref_rows`` scales each basis row to integers
+once.  A report writes each basis entry from a canonical integer row and its
+pivot.
 
 ``dumps_canonical`` writes that text itself, byte-identical to
 ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline: ``indent``
@@ -151,19 +152,20 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _entry(a, memo: dict):
+def _entry(a, memo: dict, integral=int):
     """A JSON integer, or a string "p" or "p/q" of the rational grammar
-    (``linalg.rat_from_str``), as an int if integral, else a Fraction; memo
-    maps each string parsed so far to its value.  A float is not exact.
+    (``linalg.rat_from_str``), as ``integral(p)`` if integral, else a
+    Fraction; memo maps each string parsed so far to its value.  A float is
+    not exact.
     """
     if isinstance(a, str):
         got = memo.get(a)
         if got is None:
             p, q = _rational_pair(a)
-            got = memo[a] = p if q == 1 else Fraction(p, q)
+            got = memo[a] = integral(p) if q == 1 else Fraction(p, q)
         return got
     _expect(_is_int(a), f"entry {a!r} is not an integer or a 'p/q' string")
-    return a
+    return integral(a)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +178,9 @@ def mat_to_obj(m: Mat) -> list[list[str]]:
 def mat_from_obj(obj, nrows: int | None = None, ncols: int | None = None) -> Mat:
     _expect(isinstance(obj, list) and all(isinstance(r, list) for r in obj),
             "matrix must be a list of rows")
-    memo: dict = {}
+    memo: dict = {}  # entries as the Fractions Mat keeps, so it converts none again
     try:
-        rows = [[_entry(a, memo) for a in r] for r in obj]
+        rows = [[_entry(a, memo, Fraction) for a in r] for r in obj]
         m = Mat(rows, ncols=ncols if not rows else None)
     except ValueError as exc:
         raise SchemaError(f"bad matrix: {exc}") from exc

@@ -2,6 +2,7 @@
 and the single conversion of each value on the way in and on the way out."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -257,6 +258,17 @@ def test_loading_converts_each_entry_once(bundle_zoo, monkeypatch, name):
         assert len(int_rows) == sum(map(len, bases))
         distinct = {a for b in bases for row in b for a in row}
         assert sorted(a for (a,) in parses) == sorted(distinct)
+
+
+def test_matrix_entries_are_parsed_once_to_the_fractions_mat_keeps(monkeypatch):
+    parses = []
+    _counting(monkeypatch, serialize, "_rational_pair", parses)
+    for _ in range(2):  # nothing is remembered from one load to the next
+        parses.clear()
+        m = mat_from_obj([["1/2", "0", 3], ["0", "1/2", "-1"]], 2, 3)
+        assert sorted(a for (a,) in parses) == ["-1", "0", "1/2"]
+        assert all(type(a) is Fraction for row in m.rows for a in row)
+        assert m.rows[0][0] is m.rows[1][1] and m.rows[0][1] is m.rows[1][0]
 
 
 def test_check_never_builds_a_fraction_basis(bundle_zoo, tmp_path, monkeypatch, capsys):

@@ -10,11 +10,12 @@ The algebra is its canonical subspace of Q^(r²) (matrices vectorized
 row-major), so an element's coordinates are its entries at the pivots; the
 basis element A_a is the primitive integer row R_a over its pivot entry d_a.
 One integer product table P_ab = R_a R_b at the pivots is computed per
-algebra, multiplying a pair only when a nonzero column of R_a meets a
-nonzero row of R_b (otherwise every term is zero).  Commutativity, the tuple
-equations and the center's integer system all read its differences.  The
-commutator forms stay sparse, as each row's nonzero (column, value) pairs
-read off those differences: the report writes the zeros, nothing stores them.
+algebra from the rows' supports: an entry (i, j) of R_a meets only the rows
+R_b with a nonzero row j.  The nonzero differences P_ab - P_ba are listed
+once, and commutativity, the sparse commutator forms (per row, the nonzero
+(column, value) pairs) and the center all read that list.  The center solves
+its integer rows, each made primitive so a repeated equation counts once,
+and builds its elements from the kernel's integer rows.
 
 The algebra is handled as a linear solution space, not as its unit group:
 invertibility is an open condition on top of the linear data and is reported,
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .bundles import TVB
 from .errors import InternalError
@@ -35,7 +36,6 @@ from .linalg import (  # noqa: F401
     Mat,
     Subspace,
     _kernel_of_rows,
-    _product,
     kernel,
     solve_linear,
     solve_mat_constraints,
@@ -45,10 +45,6 @@ _ZERO = Fraction(0)
 
 # A bilinear form on coordinate vectors: per row, its nonzero (column, value) pairs.
 SparseForm = tuple[tuple[tuple[int, Fraction], ...], ...]
-
-
-def _pivot_entries(space: Subspace) -> list[int]:
-    return [row[p] for row, p in zip(space.rows, space.pivots)]
 
 
 @dataclass(frozen=True)
@@ -70,46 +66,69 @@ class FilteredEndAlgebra:
             Mat._trusted([v[i * r:(i + 1) * r] for i in range(r)], r) for v in self.space.basis
         )
 
-    def element(self, coords) -> Mat:
-        """The algebra element with the given coordinates in the basis."""
-        r, out = self.bundle.r, [_ZERO] * self.space.ambient_dim
-        for c, v in zip(coords, self.space.basis):
+    @cached_property
+    def _scales(self) -> tuple[list[int], int, list[int]]:
+        """The pivot entries d_a, their lcm L, and each L / d_a."""
+        dens = [row[p] for row, p in zip(self.space.rows, self.space.pivots)]
+        big = lcm(*dens)
+        return dens, big, [big // e for e in dens]
+
+    def element(self, coords, den: int = 1) -> Mat:
+        """The algebra element sum_b coords_b A_b / den = sum_b coords_b (L / d_b) R_b / (den·L)."""
+        (_, big, scale), r = self._scales, self.bundle.r
+        acc = [0] * self.space.ambient_dim
+        for c, s, row in zip(coords, scale, self.space.rows):
             if c:
-                out = [o + c * e if e else o for o, e in zip(out, v)]
+                f = c * s
+                acc = [u + f * x if x else u for u, x in zip(acc, row)]
+        out = [Fraction(u, den * big) if u else _ZERO for u in acc]
         return Mat._trusted([out[i * r:(i + 1) * r] for i in range(r)], r)
 
     @cached_property
     def products(self) -> tuple[tuple[tuple[int, ...] | None, ...], ...]:
         """Entry (a, b) is R_a R_b at the pivots, or None when the product is zero.
 
-        Filtered endomorphism algebras are multiplicatively closed, so a
-        nonzero product outside the subspace signals an internal bug.
+        An entry x at (i, j) of R_a adds x times row j of R_b to row i of R_a R_b.
+        The algebra is closed under products, so a product P outside the
+        subspace, where L·P != sum_k P[p_k] (L / d_k) R_k, is an internal bug.
         """
-        space, r, d = self.space, self.bundle.r, self.dim
-        mats = [[row[i * r:(i + 1) * r] for i in range(r)] for row in space.rows]
-        cols = [{j for mrow in m for j, e in enumerate(mrow) if e} for m in mats]
-        rows = [{i for i, mrow in enumerate(m) if any(mrow)} for m in mats]
-        table = [[None] * d for _ in range(d)]
-        for a in range(d):
-            for b in range(d):
-                if cols[a].isdisjoint(rows[b]):
-                    continue
-                prod = [e for prow in _product(mats[a], mats[b], r, 0) for e in prow]
-                if any(space._residue(prod)[0]):
+        space, r, (_, big, scale) = self.space, self.bundle.r, self._scales
+        zero = (0,) * self.dim
+        support = [[(q, x) for q, x in enumerate(row) if x] for row in space.rows]
+        meets = [[] for _ in range(r)]  # j -> (b, l, y) for each entry y = R_b[j][l] != 0
+        for b, entries in enumerate(support):
+            for q, y in entries:
+                meets[q // r].append((b, q % r, y))
+        table = []
+        for entries in support:
+            sums: dict[int, dict[int, int]] = {}
+            for q, x in entries:
+                base = q - q % r  # i·r for the entry at (i, j)
+                for b, l, y in meets[q % r]:
+                    prod = sums.setdefault(b, {})
+                    prod[base + l] = prod.get(base + l, 0) + x * y
+            line: list[tuple[int, ...] | None] = [None] * len(support)
+            for b, prod in sums.items():
+                coords = tuple(map(prod.get, space.pivots, zero))
+                residue = {q: big * v for q, v in prod.items()}
+                for c, s, row in zip(coords, scale, support):
+                    if c:
+                        for q, x in row:
+                            residue[q] = residue.get(q, 0) - c * s * x
+                if any(residue.values()):
                     raise InternalError("algebra basis is not closed under multiplication")
-                if any(prod):
-                    table[a][b] = tuple(prod[p] for p in space.pivots)
-        return tuple(map(tuple, table))
+                line[b] = coords if any(coords) else None
+            table.append(tuple(line))
+        return tuple(table)
 
-    def _differences(self):
+    @cached_property
+    def differences(self) -> tuple[tuple[int, int, int, int], ...]:
         """(a, b, k, P_ab[k] - P_ba[k]) for b < a and each nonzero difference."""
         p, zero = self.products, (0,) * self.dim
-        for a in range(self.dim):
-            for b in range(a):
-                if p[a][b] != p[b][a]:
-                    for k, (x, y) in enumerate(zip(p[a][b] or zero, p[b][a] or zero)):
-                        if x != y:
-                            yield a, b, k, x - y
+        return tuple(
+            (a, b, k, x - y) for a in range(self.dim) for b in range(a) if p[a][b] != p[b][a]
+            for k, (x, y) in enumerate(zip(p[a][b] or zero, p[b][a] or zero)) if x != y
+        )
 
     @cached_property
     def commutator_forms(self) -> tuple[SparseForm, ...]:
@@ -118,9 +137,9 @@ class FilteredEndAlgebra:
         B_k[a][b] = (P_ab[k] - P_ba[k]) / (d_a d_b), with P the product table;
         row a of a form holds its nonzero (b, B_k[a][b]) in column order.
         """
-        d, dens = self.dim, _pivot_entries(self.space)
+        d, dens = self.dim, self._scales[0]
         forms: dict[int, list[list[tuple[int, Fraction]]]] = {}
-        for a, b, k, diff in self._differences():  # a ascending, so columns ascend
+        for a, b, k, diff in self.differences:  # a ascending, so columns ascend
             rows = forms.get(k)
             if rows is None:
                 rows = forms[k] = [[] for _ in range(d)]
@@ -144,28 +163,34 @@ def filtered_endos(v: TVB) -> FilteredEndAlgebra:
 
 
 def is_commutative(alg: FilteredEndAlgebra) -> bool:
-    return not alg.commutator_forms
+    return not alg.differences
 
 
 def center(alg: FilteredEndAlgebra) -> list[Mat]:
     """Basis of {Z in the algebra : [Z, A] = 0 for every basis element A}.
 
     Coordinates x with sum_b B_k[a][b] x_b = 0 for all k, a: row (k, a) times
-    d_a·L, L the lcm of the pivot entries, is (P_ab[k] - P_ba[k])·L/d_b over b.
+    d_a·L, L the lcm of the pivot entries, is (P_ab[k] - P_ba[k])·L/d_b over b,
+    made primitive with a positive leading entry so a repeated row counts once.
+    A kernel row y with pivot entry q is the element with coordinates y / q.
     """
-    d, dens = alg.dim, _pivot_entries(alg.space)
-    scale = [lcm(*dens) // e for e in dens]
-    rows: dict[tuple[int, int], list[int]] = {}
-    for a, b, k, diff in alg._differences():
-        rows.setdefault((k, a), [0] * d)[b] = diff * scale[b]
-        rows.setdefault((k, b), [0] * d)[a] = -diff * scale[a]
-    coords = _kernel_of_rows(list(rows.values()), d) if rows else Subspace.full(d)
-    return [alg.element(x) for x in coords.basis]
+    d, scale = alg.dim, alg._scales[2]
+    zero = (0,) * d
+    eqs: dict[tuple[int, int], dict[int, int]] = {}
+    for a, b, k, diff in alg.differences:
+        eqs.setdefault((k, a), {})[b] = diff * scale[b]
+        eqs.setdefault((k, b), {})[a] = -diff * scale[a]
+    rows: dict[tuple[int, ...], None] = {}
+    for eq in eqs.values():
+        g = gcd(*eq.values()) if eq[min(eq)] > 0 else -gcd(*eq.values())
+        rows[tuple(map({b: v // g for b, v in eq.items()}.get, range(d), zero))] = None
+    coords = _kernel_of_rows(list(rows), d) if rows else Subspace.full(d)
+    return [alg.element(y, y[p]) for y, p in zip(coords.rows, coords.pivots)]
 
 
 def structure_constants(alg: FilteredEndAlgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
     """Tensor c with A_a · A_b = sum_k c[a][b][k] A_k: c[a][b][k] = P_ab[k] / (d_a d_b)."""
-    dens = _pivot_entries(alg.space)
+    dens = alg._scales[0]
     zero = (_ZERO,) * alg.dim
     return tuple(
         tuple(

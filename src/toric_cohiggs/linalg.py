@@ -28,7 +28,7 @@ scaling.  Each matrix computes its integer form (D, D·A), with D the lcm of
 its denominators, once.  For commutation, (D_a a)(D_b b) - (D_b b)(D_a a) =
 D_a D_b [a, b], so the integer products agree iff a and b commute.  For
 invariance, a·w lies in s iff (D a)·w does, and membership of an integer
-vector is its residue against the integer rows of s.  Every matrix product,
+vector is its residue against the integer rows of s.  Every ``Mat`` product,
 over Z or Q, is the one zero-skipping ``_product``.
 
 Strings follow the schema grammar: "p" or "p/q" of ASCII digits, sign on p,

@@ -21,9 +21,9 @@ pivot.
 ``dumps_canonical`` writes that text itself, byte-identical to
 ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline: ``indent``
 keeps the library on its pure-Python encoder, which dominated large reports.
-Strings go through the C string encoder, scalars are written inline, and a
-list of strings (a matrix row) is one chunk, rendered once per object: the
-commutator forms repeat one shared zero row.
+Strings go through the C string encoder, and scalars and lists of ints or
+of strings are written in place by their container.  A list of strings (a
+matrix row) is rendered once per object: the forms share one zero row.
 """
 
 from __future__ import annotations
@@ -75,8 +75,11 @@ def scalar_json(x) -> str:
 def _write(obj, pad: str, out: list, rows: dict) -> None:
     """Append ``json.dumps(obj, sort_keys=True, indent=2)`` to out, indented by pad.
 
-    rows maps (id, pad) of each list of strings written so far to its text,
-    so a row object that recurs (the shared zero row) is rendered once.
+    A list of ints or of strings is one chunk, written in place by the dict
+    or list that holds it: the writer recurses only into other containers.
+    rows maps (id, pad) of each row of strings met in a list to its chunk
+    ("" if it is none), so a row object that recurs (the shared zero row)
+    is rendered once.
     """
     t = type(obj)
     if t is list or t is tuple:
@@ -87,23 +90,23 @@ def _write(obj, pad: str, out: list, rows: dict) -> None:
         if type(obj[0]) is int and set(map(type, obj)) == {int}:  # one chunk; no bools
             out.append(f"[\n{inner}" + f",\n{inner}".join(map(int.__repr__, obj)) + f"\n{pad}]")
             return
-        if type(obj[0]) is str:
-            key = (id(obj), pad)
-            chunk = rows.get(key)
-            if chunk is None:
-                try:  # a matrix row: one chunk
-                    cells = (",\n" + inner).join(map(_encode_str, obj))
-                    chunk = "[\n" + inner + cells + "\n" + pad + "]"
-                except TypeError:  # not every item is a string
-                    chunk = ""
-                rows[key] = chunk
-            if chunk:
-                out.append(chunk)
-                return
-        sep = "[\n" + inner
+        sep, deeper = "[\n" + inner, inner + "  "
         for item in obj:
             out.append(sep)
             sep = ",\n" + inner
+            if type(item) is list and item and type(item[0]) is str:  # a matrix row
+                key = (id(item), inner)
+                chunk = rows.get(key)
+                if chunk is None:
+                    try:
+                        cells = (",\n" + deeper).join(map(_encode_str, item))
+                        chunk = "[\n" + deeper + cells + "\n" + inner + "]"
+                    except TypeError:  # not every item is a string
+                        chunk = ""
+                    rows[key] = chunk
+                if chunk:
+                    out.append(chunk)
+                    continue
             _write(item, inner, out, rows)
         out.append("\n" + pad + "]")
     elif t is dict and all(type(k) is str for k in obj):
@@ -111,18 +114,22 @@ def _write(obj, pad: str, out: list, rows: dict) -> None:
             out.append("{}")
             return
         inner = pad + "  "
-        sep = "{\n" + inner
+        sep, deeper = "{\n" + inner, inner + "  "
         for key in sorted(obj):
             val = obj[key]
             tv = type(val)
-            if tv is str:
-                out.append(sep + _encode_str(key) + ": " + _encode_str(val))
-            elif tv is int:
-                out.append(sep + _encode_str(key) + ": " + int.__repr__(val))
-            else:
-                out.append(sep + _encode_str(key) + ": ")
-                _write(val, inner, out, rows)
+            head = sep + _encode_str(key) + ": "
             sep = ",\n" + inner
+            if tv is str:
+                out.append(head + _encode_str(val))
+            elif tv is int:
+                out.append(head + int.__repr__(val))
+            elif tv is list and val and type(val[0]) in (int, str) and len(set(map(type, val))) == 1:
+                cells = map(int.__repr__ if type(val[0]) is int else _encode_str, val)
+                out.append(head + "[\n" + deeper + (",\n" + deeper).join(cells) + "\n" + inner + "]")
+            else:
+                out.append(head)
+                _write(val, inner, out, rows)
         out.append("\n" + pad + "}")
     elif t is str or t is int or t is bool or obj is None:
         out.append(scalar_json(obj))

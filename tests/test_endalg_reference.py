@@ -13,6 +13,7 @@ products are dense sums over every pair (``reference.mat_mul``), independent
 of the library's sparse product and support filter.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -23,16 +24,19 @@ from toric_cohiggs import (
     Subspace,
     center,
     classify,
+    direct_sum,
     fan_pn,
     filtered_endos,
     is_commutative,
+    line_bundle,
     structure_constants,
     tuple_variety_equations,
 )
-from toric_cohiggs import endalg
+from toric_cohiggs import cli, endalg
 from toric_cohiggs.endalg import FilteredEndAlgebra
 from toric_cohiggs.errors import InternalError
 from toric_cohiggs.linalg import kernel
+from toric_cohiggs.serialize import bundle_to_obj, dumps_canonical
 
 from conftest import random_bundle, standard_cone_fan
 from reference import commutator, line_sum, mat_mul, ref_coords, ref_forms
@@ -131,6 +135,26 @@ def test_tensor_center_and_forms_match_reference_on_repeated_twists(twists):
     assert_matches_reference(line_sum(fan_pn(2), twists), 2)
 
 
+def test_two_dimensional_center_of_a_noncommutative_algebra(tmp_path, capsys):
+    """O + O + L + L on P^2: two gl_2 blocks, so the center is spanned by the
+    two block identities; equal center equations must not lose one."""
+    fan = fan_pn(2)
+    o, twisted = line_bundle(fan, 0), line_bundle(fan, [1, -1, 0])
+    v = direct_sum(direct_sum(direct_sum(o, o), twisted), twisted)
+    alg = assert_matches_reference(v, 2)
+    assert (alg.dim, is_commutative(alg), len(center(alg))) == (8, False, 2)
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(dumps_canonical(bundle_to_obj(v)))
+    capsys.readouterr()
+    assert cli.main(["classify", str(bundle), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["dim_h"], report["commutative"], report["center_dim"]) == (8, False, 2)
+    blocks = (["1", "1", "0", "0"], ["0", "0", "1", "1"])  # the diagonals
+    assert report["center"] == [
+        [[x if i == j else "0" for j, x in enumerate(diag)] for i in range(4)] for diag in blocks
+    ]
+
+
 def test_classify_never_builds_the_fraction_tensor_or_multiplies_matrices(monkeypatch):
     def refuse(*args):
         raise AssertionError("called on the classify path")
@@ -151,6 +175,12 @@ def test_basis_not_closed_under_multiplication_is_an_internal_error():
         is_commutative(FilteredEndAlgebra(v, span))
     with pytest.raises(InternalError):
         center(FilteredEndAlgebra(v, span))
+    # R = e11 + e12 + e21 has R R = (2, 1, 1, 1): its pivot coordinate 2 is
+    # nonzero, yet R R != 2 R, so only a test of every entry rejects it
+    outside = Subspace(4, [(1, 1, 1, 0)])
+    for verb in (structure_constants, is_commutative, center):
+        with pytest.raises(InternalError):
+            verb(FilteredEndAlgebra(v, outside))
     # the integer row R = 2 e11 + e12 has pivot 2 and R R = 2 R, so the basis
     # element R / 2 is idempotent: its coordinate is 4 / (2 * 2)
     scaled = Subspace(4, [(2, 1, 0, 0)])

@@ -44,10 +44,15 @@ def test_classify_scale_runs_on_small_ranks(capsys, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))  # for the shared child_run
     assert load_script("classify_scale").main(["--min", "2", "--max", "4"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["r", "dim_h", "seconds", "report_bytes", "peak_rss_mb"]
-    assert [row.split()[:2] for row in rows] == [["2", "4"], ["3", "9"], ["4", "16"]]
-    sizes = [int(row.split()[3]) for row in rows]
-    assert sizes == sorted(sizes) and sizes[0] > 0
+    assert header.split() == ["k", "bundle", "dim_h", "seconds", "report_bytes", "peak_rss_mb"]
+    assert [row.split()[:3] for row in rows] == [
+        [str(k), name, str(dim_h)]
+        for k, square, triangle in ((2, 4, 3), (3, 9, 6), (4, 16, 10))
+        for name, dim_h in (("O^k", square), ("O(0..k-1)", triangle))
+    ]
+    sizes = [int(row.split()[4]) for row in rows]
+    assert all(size > 0 for size in sizes)
+    assert sizes[0::2] == sorted(sizes[0::2]) and sizes[1::2] == sorted(sizes[1::2])
 
 
 def test_check_scale_runs_on_small_dimensions(capsys, monkeypatch):

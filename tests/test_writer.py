@@ -117,6 +117,20 @@ def test_text_lines_match_per_value_json_dumps(obj):
     assert text(obj) == ref_text(obj)
 
 
+# a grading piece of a check report: its u and basis rows are written in place
+pieces = st.fixed_dictionaries({
+    "u": st.lists(st.integers(), max_size=4),
+    "basis": st.lists(st.lists(strings, max_size=4), max_size=3),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(pieces | st.lists(pieces, max_size=3) | st.dictionaries(strings, pieces, max_size=2))
+def test_piece_shaped_values_match_json_dumps(obj):
+    assert dumps_canonical(obj) == ref_json(obj)
+    assert text(obj) == ref_text(obj)
+
+
 @given(scalars | st.just([]) | st.just({}) | st.just(()))
 def test_scalar_json_matches_json_dumps(x):
     assert scalar_json(x) == json.dumps(x)

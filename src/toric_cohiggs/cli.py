@@ -199,17 +199,14 @@ def _run_check(args) -> tuple[dict, bool]:
 def _run_endalg(args) -> tuple[dict, bool]:
     bundle = _load_bundle_checked(args.bundle)
     alg = filtered_endos(bundle)
-    commutative = is_commutative(alg)
-    cen = center(alg)
-    eqs = tuple_variety_equations(alg, bundle.fan.n)
     report = {
         "verb": "endalg",
         "inputs": {"bundle": _input_digest(args.bundle)},
         "dim": alg.dim,
-        "basis": [serialize.mat_to_obj(m) for m in alg.basis],
-        "commutative": commutative,
-        "center_dim": len(cen),
-        "tuple_equations": serialize.tuple_eqs_to_obj(eqs),
+        "basis": serialize.algebra_basis_to_obj(alg, ["0"] * bundle.r),
+        "commutative": is_commutative(alg),
+        "center_dim": len(center(alg)),
+        "tuple_equations": serialize.tuple_eqs_to_obj(tuple_variety_equations(alg, bundle.fan.n)),
         "notes": [
             "dim counts the linear algebra of filtered endomorphisms; its "
             "invertible elements form the automorphism group, an open condition"

@@ -33,6 +33,8 @@ from .bundles import (
     tangent_bundle,
 )
 from .endalg import (
+    Elements,
+    FilteredEndAlgebra,
     TupleVarietyEqs,
     center,
     filtered_endos,
@@ -194,22 +196,32 @@ def canonical_pair(fan: Fan) -> tuple[TVB, tuple[Mat, ...]]:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Everything the classification computes for one bundle."""
+    """Everything the classification computes for one bundle; its ``Mat``s are built on first use."""
 
     rank: int
     n: int
     bundle_status: str
     bundle_certificate: str | None
+    algebra: FilteredEndAlgebra
     dim_h: int
-    basis: tuple[Mat, ...]
     commutative: bool
-    center_basis: tuple[Mat, ...]
+    center_basis: Elements
     parameters: int | None
-    generators: tuple[tuple[Mat, ...], ...] | None
     tuple_equations: TupleVarietyEqs | None
     chern: ChernData | None
     notes: tuple[str, ...]
     warnings: tuple[str, ...]
+
+    @property
+    def basis(self) -> tuple[Mat, ...]:
+        return self.algebra.basis
+
+    @property
+    def generators(self) -> tuple[tuple[Mat, ...], ...] | None:
+        """One basis matrix per slot, the other slots zero, for a commutative algebra."""
+        zero = Mat.zero(self.rank, self.rank)
+        return tuple(tuple(b if j == slot else zero for j in range(self.n))
+                     for slot in range(self.n) for b in self.basis) if self.commutative else None
 
 
 _GROUP_NOTE = (
@@ -236,38 +248,19 @@ def classify(v: TVB) -> ClassificationReport:
         )
     alg = filtered_endos(v)
     commutative = is_commutative(alg)
-    cen = tuple(center(alg))
     n = v.fan.n
-    generators = None
-    parameters = None
-    equations = None
-    if commutative:
-        parameters = n * alg.dim
-        gens = []
-        for slot in range(n):
-            for b in alg.basis:
-                gens.append(
-                    tuple(
-                        b if j == slot else Mat.zero(v.r, v.r) for j in range(n)
-                    )
-                )
-        generators = tuple(gens)
-    else:
-        equations = tuple_variety_equations(alg, n)
-    chern = equivariant_chern_data(v, verdict) if verdict.compatible else None
     return ClassificationReport(
         rank=v.r,
         n=n,
         bundle_status=verdict.status,
         bundle_certificate=verdict.certificate,
+        algebra=alg,
         dim_h=alg.dim,
-        basis=alg.basis,
         commutative=commutative,
-        center_basis=cen,
-        parameters=parameters,
-        generators=generators,
-        tuple_equations=equations,
-        chern=chern,
+        center_basis=center(alg),
+        parameters=n * alg.dim if commutative else None,
+        tuple_equations=None if commutative else tuple_variety_equations(alg, n),
+        chern=equivariant_chern_data(v, verdict) if verdict.compatible else None,
         notes=(_GROUP_NOTE,),
         warnings=tuple(warnings),
     )

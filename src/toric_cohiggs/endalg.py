@@ -13,9 +13,10 @@ One integer product table P_ab = R_a R_b at the pivots is computed per
 algebra from the rows' supports: an entry (i, j) of R_a meets only the rows
 R_b with a nonzero row j.  The nonzero differences P_ab - P_ba are listed
 once, and commutativity, the sparse commutator forms (per row, the nonzero
-(column, value) pairs) and the center all read that list.  The center solves
-its integer rows, each made primitive so a repeated equation counts once,
-and builds its elements from the kernel's integer rows.
+(column, value) pairs) and the center all read that list.  The center is
+solved on the coordinates its single-entry equations do not pin to 0.  The
+``Mat``s and ``Fraction``s of ``basis``, the center and the forms are built
+on first use; reports are written from the integers (``serialize``).
 
 The algebra is handled as a linear solution space, not as its unit group:
 invertibility is an open condition on top of the linear data and is reported,
@@ -73,15 +74,19 @@ class FilteredEndAlgebra:
         big = lcm(*dens)
         return dens, big, [big // e for e in dens]
 
-    def element(self, coords, den: int = 1) -> Mat:
-        """The algebra element sum_b coords_b A_b / den = sum_b coords_b (L / d_b) R_b / (den·L)."""
-        (_, big, scale), r = self._scales, self.bundle.r
+    def combination(self, coords) -> list[int]:
+        """L times the element with these coordinates: sum_b coords_b (L / d_b) R_b."""
         acc = [0] * self.space.ambient_dim
-        for c, s, row in zip(coords, scale, self.space.rows):
+        for c, s, row in zip(coords, self._scales[2], self.space.rows):
             if c:
                 f = c * s
                 acc = [u + f * x if x else u for u, x in zip(acc, row)]
-        out = [Fraction(u, den * big) if u else _ZERO for u in acc]
+        return acc
+
+    def element(self, coords, den: int = 1) -> Mat:
+        """The algebra element sum_b coords_b A_b / den, its combination over den·L."""
+        big, r = den * self._scales[1], self.bundle.r
+        out = [Fraction(u, big) if u else _ZERO for u in self.combination(coords)]
         return Mat._trusted([out[i * r:(i + 1) * r] for i in range(r)], r)
 
     @cached_property
@@ -166,26 +171,61 @@ def is_commutative(alg: FilteredEndAlgebra) -> bool:
     return not alg.differences
 
 
-def center(alg: FilteredEndAlgebra) -> list[Mat]:
+class Elements:
+    """The elements y / y[p] for the rows y (pivot p) of a canonical subspace
+    of algebra coordinates: a sequence whose ``Mat``s are built on first access."""
+
+    def __init__(self, alg: FilteredEndAlgebra, coords: Subspace):
+        self.alg, self.coords = alg, coords
+
+    def __len__(self) -> int:
+        return self.coords.dim
+
+    def __getitem__(self, i):
+        return self._mats[i]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (list, tuple, Elements)) and self._mats == list(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._mats))
+
+    def __repr__(self) -> str:
+        return f"Elements({self._mats!r})"
+
+    @cached_property
+    def _mats(self) -> list[Mat]:
+        return [self.alg.element(y, y[p]) for y, p in zip(self.coords.rows, self.coords.pivots)]
+
+
+def center(alg: FilteredEndAlgebra) -> Elements:
     """Basis of {Z in the algebra : [Z, A] = 0 for every basis element A}.
 
     Coordinates x with sum_b B_k[a][b] x_b = 0 for all k, a: row (k, a) times
     d_a·L, L the lcm of the pivot entries, is (P_ab[k] - P_ba[k])·L/d_b over b,
-    made primitive with a positive leading entry so a repeated row counts once.
-    A kernel row y with pivot entry q is the element with coordinates y / q.
+    kept as sorted (b, value) pairs.  A row with one entry pins its coordinate
+    to 0.  The other rows, on the unpinned coordinates, are made primitive
+    with a positive leading entry, so a repeated row counts once, and solved;
+    zero columns put back into that canonical kernel give the canonical
+    kernel of the whole system.
     """
     d, scale = alg.dim, alg._scales[2]
-    zero = (0,) * d
-    eqs: dict[tuple[int, int], dict[int, int]] = {}
-    for a, b, k, diff in alg.differences:
-        eqs.setdefault((k, a), {})[b] = diff * scale[b]
-        eqs.setdefault((k, b), {})[a] = -diff * scale[a]
-    rows: dict[tuple[int, ...], None] = {}
+    eqs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for a, b, k, diff in alg.differences:  # (k, a) gets b < a, then b > a: sorted
+        eqs.setdefault((k, a), []).append((b, diff * scale[b]))
+        eqs.setdefault((k, b), []).append((a, -diff * scale[a]))
+    pinned = {eq[0][0] for eq in eqs.values() if len(eq) == 1}
+    rows: dict[tuple[tuple[int, int], ...], None] = {}
     for eq in eqs.values():
-        g = gcd(*eq.values()) if eq[min(eq)] > 0 else -gcd(*eq.values())
-        rows[tuple(map({b: v // g for b, v in eq.items()}.get, range(d), zero))] = None
-    coords = _kernel_of_rows(list(rows), d) if rows else Subspace.full(d)
-    return [alg.element(y, y[p]) for y, p in zip(coords.rows, coords.pivots)]
+        eq = [(b, v) for b, v in eq if b not in pinned] if len(eq) > 1 else []
+        if eq:
+            g = gcd(*(v for _, v in eq)) if eq[0][1] > 0 else -gcd(*(v for _, v in eq))
+            rows[tuple((b, v // g) for b, v in eq)] = None
+    free, zero = [b for b in range(d) if b not in pinned], (0,) * d
+    system = [list(map(dict(eq).get, free, zero)) for eq in rows]
+    kern = _kernel_of_rows(system, len(free)) if system else Subspace.full(len(free))
+    lifted = [tuple(map(dict(zip(free, y)).get, range(d), zero)) for y in kern.rows]
+    return Elements(alg, Subspace._canonical(d, lifted, [free[p] for p in kern.pivots]))
 
 
 def structure_constants(alg: FilteredEndAlgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
@@ -214,7 +254,12 @@ class TupleVarietyEqs:
 
     n: int
     dim: int
-    forms: tuple[SparseForm, ...]  # each dim x dim, one per surviving basis index
+    algebra: FilteredEndAlgebra
+
+    @property
+    def forms(self) -> tuple[SparseForm, ...]:
+        """Each dim x dim, one per surviving basis index; none when n <= 1."""
+        return self.algebra.commutator_forms if self.n > 1 else ()
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -227,7 +272,4 @@ def tuple_variety_equations(alg: FilteredEndAlgebra, n: int) -> TupleVarietyEqs:
     """Equations for n-tuples of pairwise-commuting algebra elements."""
     if n < 0:
         raise ValueError("tuple length must be >= 0")
-    d = alg.dim
-    if n <= 1 or d == 0:
-        return TupleVarietyEqs(n, d, ())
-    return TupleVarietyEqs(n, d, alg.commutator_forms)
+    return TupleVarietyEqs(n, alg.dim, alg)

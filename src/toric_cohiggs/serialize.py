@@ -15,15 +15,17 @@ so that serialize -> parse -> serialize is byte-identical.
 Each value is converted once each way.  Loading parses each distinct string
 of one input object once (``_entry``): a matrix entry becomes the Fraction
 ``Mat`` keeps, and ``linalg._rref_rows`` scales each basis row to integers
-once.  A report writes each basis entry from a canonical integer row and its
-pivot.
+once.  A report writes each entry as an integer over a positive one, reduced
+by one gcd: a subspace or algebra basis row over its pivot, a center element
+from its kernel row, a form entry from the algebra's difference list.
 
 ``dumps_canonical`` writes that text itself, byte-identical to
 ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline: ``indent``
 keeps the library on its pure-Python encoder, which dominated large reports.
 Strings go through the C string encoder, and scalars and lists of ints or
 of strings are written in place by their container.  A list of strings (a
-matrix row) is rendered once per object: the forms share one zero row.
+matrix row) is rendered once per object: a report's matrices share one zero
+row, and its forms another.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .cohiggs import (
     IntegrabilityVerdict,
     ToricCoHiggsField,
 )
-from .endalg import TupleVarietyEqs
+from .endalg import FilteredEndAlgebra, TupleVarietyEqs
 from .errors import SchemaError
 from .fans import Cone, Fan
 from .linalg import Mat, Subspace, _rational_pair, rat_str
@@ -198,14 +200,28 @@ def mat_from_obj(obj, nrows: int | None = None, ncols: int | None = None) -> Mat
     return m
 
 
+def _cells(row, d: int) -> list[str]:
+    """Each entry a of an integer row as a/d in lowest terms, for d > 0."""
+    if d == 1:
+        return list(map(int.__repr__, row))
+    return [int.__repr__(a // d) if (g := gcd(a, d)) == d else f"{a // g}/{d // g}" for a in row]
+
+
 def subspace_to_obj(s: Subspace) -> list[list[str]]:
-    """The basis over Q from the integer rows: a/d in lowest terms, d the pivot."""
-    out = []
-    for row, col in zip(s.rows, s.pivots):
-        d = row[col]
-        out.append([int.__repr__(a // d) if (g := gcd(a, d)) == d else f"{a // g}/{d // g}"
-                    for a in row])
-    return out
+    """The basis over Q from the integer rows, each over its pivot."""
+    return [_cells(row, row[p]) for row, p in zip(s.rows, s.pivots)]
+
+
+def _matrices_to_obj(rows, dens, r: int, zero_row: list[str]) -> list:
+    """Each integer row of r·r entries over its denominator d > 0 as an r x r
+    matrix of cells; every all-zero row is the shared zero_row."""
+    return [[_cells(part, d) if any(part) else zero_row
+             for part in (row[i:i + r] for i in range(0, r * r, r))] for row, d in zip(rows, dens)]
+
+
+def algebra_basis_to_obj(alg: FilteredEndAlgebra, zero_row: list[str]) -> list:
+    """The basis matrices A_a, each the integer row R_a over its pivot entry d_a."""
+    return _matrices_to_obj(alg.space.rows, alg._scales[0], alg.bundle.r, zero_row)
 
 
 # ---------------------------------------------------------------------------
@@ -419,27 +435,24 @@ def bundle_verdict_to_obj(verdict: BundleVerdict) -> dict:
     return out
 
 
-def _sparse_form_to_obj(form, zero_row: list[str]) -> list[list[str]]:
-    """A sparse form as dense rows; every all-zero row is the shared zero_row."""
-    out = []
-    for row in form:
-        if row:
-            cells = zero_row.copy()
-            for j, value in row:
-                cells[j] = rat_str(value)
-            out.append(cells)
-        else:
-            out.append(zero_row)
-    return out
-
-
 def tuple_eqs_to_obj(eqs: TupleVarietyEqs) -> dict:
-    zero_row = ["0"] * eqs.dim
+    """The forms as dense rows from the differences: B_k[a][b] = -B_k[b][a] =
+    (P_ab[k] - P_ba[k]) / (d_a d_b); every all-zero row is one shared row."""
+    zero_row, dens = ["0"] * eqs.dim, eqs.algebra._scales[0]
+    forms: dict[int, list] = {}
+    for a, b, k, diff in eqs.algebra.differences if eqs.n > 1 else ():
+        rows = forms.get(k) or forms.setdefault(k, [zero_row] * eqs.dim)
+        den = dens[a] * dens[b]
+        g = gcd(diff, den)
+        for i, j, x in ((a, b, diff // g), (b, a, -diff // g)):
+            if rows[i] is zero_row:
+                rows[i] = zero_row.copy()
+            rows[i][j] = int.__repr__(x) if g == den else f"{x}/{den // g}"
     return {
         "n": eqs.n,
         "dim": eqs.dim,
         "pairs": [list(p) for p in eqs.pairs],
-        "forms": [_sparse_form_to_obj(f, zero_row) for f in eqs.forms],
+        "forms": [forms[k] for k in sorted(forms)],
         "forms_note": "the same bilinear forms apply to every slot pair",
     }
 
@@ -461,16 +474,20 @@ def integrability_to_obj(verdict: IntegrabilityVerdict) -> dict:
 
 
 def classification_to_obj(report: ClassificationReport) -> dict:
+    alg, cen, zero_row = report.algebra, report.center_basis.coords, ["0"] * report.rank
+    basis = algebra_basis_to_obj(alg, zero_row)
+    # each center element is the combination of its kernel row y over y[p]·L
+    dens = [y[p] * alg._scales[1] for y, p in zip(cen.rows, cen.pivots)]
     out: dict = {
         "rank": report.rank,
         "n": report.n,
         "compatible": report.bundle_status == "compatible",
         "bundle_status": report.bundle_status,
         "dim_h": report.dim_h,
-        "basis": [mat_to_obj(m) for m in report.basis],
+        "basis": basis,
         "commutative": report.commutative,
-        "center": [mat_to_obj(m) for m in report.center_basis],
-        "center_dim": len(report.center_basis),
+        "center": _matrices_to_obj(map(alg.combination, cen.rows), dens, report.rank, zero_row),
+        "center_dim": cen.dim,
         "notes": list(report.notes),
         "warnings": list(report.warnings),
     }
@@ -478,10 +495,10 @@ def classification_to_obj(report: ClassificationReport) -> dict:
         out["certificate"] = report.bundle_certificate
     if report.parameters is not None:
         out["parameters"] = report.parameters
-    if report.generators is not None:
-        out["generators"] = [
-            [mat_to_obj(m) for m in gen] for gen in report.generators
-        ]
+    if report.commutative:
+        zero, n = [zero_row] * report.rank, report.n
+        out["generators"] = [[m if j == slot else zero for j in range(n)]
+                             for slot in range(n) for m in basis]
     if report.tuple_equations is not None:
         out["tuple_equations"] = tuple_eqs_to_obj(report.tuple_equations)
     if report.chern is not None:

@@ -12,7 +12,9 @@ They live in one module so that no ``test_*`` module imports another:
 - the endomorphism algebra's coordinates and commutator forms from direct
   commutators, and the sparse forms evaluated on coordinate vectors;
 - a subspace's report rows through its ``Fraction`` basis and ``rat_str``,
-  the renderer that writing from the integer rows replaced;
+  and a classification report through the report's ``Mat`` accessors
+  (``mat_to_obj``) and its ``Fraction`` forms: the renderers that writing
+  from the integer rows and the difference list replaced;
 - the face check of a fan by extreme-ray enumeration: two maximal cones must
   meet in the cone on their shared rays (Cox-Little-Schenck, *Toric
   Varieties*, Lemma 1.2.13).  The library does not check this yet.
@@ -25,6 +27,7 @@ from fractions import Fraction
 
 from toric_cohiggs import direct_sum, line_bundle
 from toric_cohiggs.fans import dual_basis, pairing
+from toric_cohiggs.serialize import chern_to_obj, mat_to_obj
 from toric_cohiggs.linalg import (
     Mat,
     Subspace,
@@ -86,6 +89,54 @@ def commutator(a: Mat, b: Mat) -> Mat:
 def subspace_text(s: Subspace) -> list[list[str]]:
     """The report rows of s: each entry of its reduced basis over Q, as text."""
     return [[rat_str(a) for a in row] for row in s.basis]
+
+
+def ref_tuple_eqs_obj(eqs) -> dict:
+    """The tuple equations with each sparse ``Fraction`` form made dense text."""
+    forms = []
+    for form in eqs.forms:
+        rows = [["0"] * eqs.dim for _ in range(eqs.dim)]
+        for a, row in enumerate(form):
+            for b, value in row:
+                rows[a][b] = rat_str(value)
+        forms.append(rows)
+    return {
+        "n": eqs.n,
+        "dim": eqs.dim,
+        "pairs": [list(p) for p in eqs.pairs],
+        "forms": forms,
+        "forms_note": "the same bilinear forms apply to every slot pair",
+    }
+
+
+def ref_classification_obj(report) -> dict:
+    """``serialize.classification_to_obj`` as it was written from the report's
+    ``Mat`` accessors: the basis, the center and the generators through
+    ``mat_to_obj``, and the forms through ``rat_str``."""
+    out = {
+        "rank": report.rank,
+        "n": report.n,
+        "compatible": report.bundle_status == "compatible",
+        "bundle_status": report.bundle_status,
+        "dim_h": report.dim_h,
+        "basis": [mat_to_obj(m) for m in report.basis],
+        "commutative": report.commutative,
+        "center": [mat_to_obj(m) for m in report.center_basis],
+        "center_dim": len(report.center_basis),
+        "notes": list(report.notes),
+        "warnings": list(report.warnings),
+    }
+    if report.bundle_certificate is not None:
+        out["certificate"] = report.bundle_certificate
+    if report.parameters is not None:
+        out["parameters"] = report.parameters
+    if report.generators is not None:
+        out["generators"] = [[mat_to_obj(m) for m in gen] for gen in report.generators]
+    if report.tuple_equations is not None:
+        out["tuple_equations"] = ref_tuple_eqs_obj(report.tuple_equations)
+    if report.chern is not None:
+        out["chern"] = chern_to_obj(report.chern)
+    return out
 
 
 # --------------------------------------------------------------------------

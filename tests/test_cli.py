@@ -18,7 +18,9 @@ from pathlib import Path
 import pytest
 
 import toric_cohiggs
-from toric_cohiggs import cli
+from reference import line_sum
+from toric_cohiggs import cli, fan_pn
+from toric_cohiggs.serialize import bundle_to_obj, save_json
 
 
 @pytest.fixture
@@ -218,6 +220,27 @@ def test_endalg_verb(tmp_path, run_cli, make_fixture):
     assert report["commutative"] is True
     assert report["center_dim"] == 2
     assert report["tuple_equations"]["forms"] == []
+
+
+@pytest.mark.parametrize("bundle", ["golden", "line_sum"])
+def test_endalg_report_agrees_with_classify(tmp_path, run_cli, bundle):
+    """Both verbs render the same algebra: the golden bundle (pivot entries
+    over 1) and O(0) + O(1) + O(2) on P^2."""
+    if bundle == "golden":
+        (tmp_path / "b.json").write_bytes((FRACTIONAL_DIR / "bundle.json").read_bytes())
+    else:
+        save_json(tmp_path / "b.json", bundle_to_obj(line_sum(fan_pn(2), [0, 1, 2])))
+    reports = {}
+    for verb in ("endalg", "classify"):
+        r = run_cli([verb, "b.json", "--format", "json"], tmp_path)
+        assert (r.returncode, r.stderr) == (0, "")
+        reports[verb] = json.loads(r.stdout)
+    endalg, classified = reports["endalg"], reports["classify"]
+    assert endalg["basis"] == classified["basis"] and len(endalg["basis"]) == endalg["dim"]
+    assert endalg["center_dim"] == classified["center_dim"] == len(classified["center"])
+    assert not classified["commutative"]
+    assert endalg["tuple_equations"] == classified["tuple_equations"]
+    assert endalg["tuple_equations"]["forms"]
 
 
 # A rank-2 bundle on the point fan (n = 0): no rays, so no filtrations, and

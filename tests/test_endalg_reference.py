@@ -16,26 +16,33 @@ of the library's sparse product and support filter.
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_cohiggs import (
+    TVB,
     Mat,
     Subspace,
     center,
     classify,
     direct_sum,
     fan_pn,
+    fan_product,
     filtered_endos,
     is_commutative,
     line_bundle,
+    normalize_filtration,
     structure_constants,
+    tangent_bundle,
     tuple_variety_equations,
 )
 from toric_cohiggs import cli, endalg
 from toric_cohiggs.endalg import FilteredEndAlgebra
 from toric_cohiggs.errors import InternalError
-from toric_cohiggs.linalg import kernel
+from toric_cohiggs.linalg import _kernel_of_rows, kernel
 from toric_cohiggs.serialize import bundle_to_obj, dumps_canonical
 
 from conftest import random_bundle, standard_cone_fan
@@ -185,3 +192,89 @@ def test_basis_not_closed_under_multiplication_is_an_internal_error():
     # element R / 2 is idempotent: its coordinate is 4 / (2 * 2)
     scaled = Subspace(4, [(2, 1, 0, 0)])
     assert structure_constants(FilteredEndAlgebra(v, scaled)) == (((1,),),)
+
+
+# ---------------------------------------------------------------------------
+# the center solved on its unpinned coordinates
+
+def full_center_rows(alg):
+    """The center's whole system as dense rows, one per distinct primitive row:
+    row (k, a) is (P_ab[k] - P_ba[k])·L/d_b over b, as before any coordinate
+    was pinned."""
+    d, scale = alg.dim, alg._scales[2]
+    eqs = {}
+    for a, b, k, diff in alg.differences:
+        eqs.setdefault((k, a), {})[b] = diff * scale[b]
+        eqs.setdefault((k, b), {})[a] = -diff * scale[a]
+    rows = {}
+    for eq in eqs.values():
+        g = gcd(*eq.values()) if eq[min(eq)] > 0 else -gcd(*eq.values())
+        rows[tuple(eq.get(b, 0) // g for b in range(d))] = None
+    return list(rows)
+
+
+def pinned_in_a_longer_row(alg) -> bool:
+    """Whether a coordinate pinned by a one-entry row also meets another row."""
+    rows = full_center_rows(alg)
+    support = [{b for b, x in enumerate(row) if x} for row in rows]
+    pinned = set().union(*(s for s in support if len(s) == 1))
+    return any(len(s) > 1 and s & pinned for s in support)
+
+
+def assert_pinned_center_is_the_dense_kernel(alg):
+    rows = full_center_rows(alg)
+    dense = _kernel_of_rows(rows, alg.dim) if rows else Subspace.full(alg.dim)
+    coords = center(alg).coords
+    assert coords.ambient_dim == alg.dim
+    assert coords.rows == dense.rows  # row for row
+    assert coords.pivots == dense.pivots
+    assert all(type(x) is int for row in coords.rows for x in row)
+
+
+CENTER_FANS = (fan_pn(1), standard_cone_fan(1), fan_pn(2), standard_cone_fan(2), standard_cone_fan(3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(CENTER_FANS), st.integers(1, 4))
+def test_pinned_center_is_the_dense_kernel_of_the_whole_system(rng, fan, r):
+    assert_pinned_center_is_the_dense_kernel(filtered_endos(random_bundle(rng, fan, r)))
+
+
+@pytest.mark.parametrize("twists", [[0, 1], [0, 1, 2, 3, 4, 5], [0, 0, 0, 0], [0, 0, 1, 1, 2]])
+def test_pinned_center_is_the_dense_kernel_on_line_sums(twists):
+    assert_pinned_center_is_the_dense_kernel(filtered_endos(line_sum(fan_pn(2), twists)))
+
+
+def test_pinned_center_with_a_pinned_coordinate_in_a_longer_row():
+    """A full flag of Q^3 on one ray: its algebra is a Borel subalgebra in a
+    basis with pivot entries 4, and four of its six coordinates are pinned by
+    one-entry rows that also appear in rows with more entries."""
+    plane = Subspace(3, [(2, 0, -1), (0, 2, 3)])
+    line = Subspace(3, [(1, -1, -2)])
+    flag = normalize_filtration(3, [(-2, plane), (-1, line), (1, Subspace.zero(3))])
+    alg = filtered_endos(TVB(standard_cone_fan(1), 3, (flag,)))
+    assert alg.dim == 6 and max(alg._scales[0]) == 4
+    assert pinned_in_a_longer_row(alg)
+    assert_pinned_center_is_the_dense_kernel(alg)
+    assert center(alg) == ref_center(alg) == [Mat.identity(3)]
+
+
+def test_report_accessors_build_the_mats_on_first_use():
+    """The report keeps the algebra and the center's coordinates; its ``Mat``
+    accessors, built when asked, equal the reference and compare and hash
+    like the tuples they replaced."""
+    v = line_sum(fan_pn(2), [0, 0, 1])
+    report = classify(v)
+    alg = report.algebra
+    assert "basis" not in vars(alg) and "_mats" not in vars(report.center_basis)
+    assert report.basis == tuple(Mat.from_vec(b, 3, 3) for b in alg.space.basis)
+    assert report.center_basis == ref_center(alg) and report.center_basis == tuple(ref_center(alg))
+    assert list(report.center_basis) == [Mat.identity(3)] and len(report.center_basis) == 1
+    assert repr(report.center_basis) == f"Elements([{Mat.identity(3)!r}])"
+    assert report.generators is None and report.tuple_equations.forms
+    again = classify(v)
+    assert again == report and hash(again) == hash(report)
+    tangent = classify(tangent_bundle(fan_product(fan_pn(1), fan_pn(1))))
+    zero = Mat.zero(2, 2)
+    assert tangent.generators == tuple(
+        (b, zero) for b in tangent.basis) + tuple((zero, b) for b in tangent.basis)

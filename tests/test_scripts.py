@@ -9,6 +9,7 @@ script runs in-process through its ``main``, never with ``--write``.
 import importlib.util
 import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -105,3 +106,54 @@ def test_bench_pairs_alternates_the_order_and_reads_the_metric_directions():
     assert better["wall_ref"] == "lower" and better["ok_share"] == "higher"
     assert set(better) == {m["name"] for m in
                            json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
+def test_bench_pairs_summarizes_layer_metrics_as_medians_over_runs():
+    script = load_script("bench_pairs")
+    better = script.directions(ROOT, trace=1)
+    assert set(better) == {m["name"] for m in
+                           json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert better["serialize.emit.s"] == "lower" and better["linalg.rref.work"] == "lower"
+    # one descheduled traced pass (the 0.0063 s runs) moves neither median
+    emit = {"parent": (0.0047, 0.0046, 0.0063, 0.0048, 0.0045),
+            "change": (0.0031, 0.0030, 0.0032, 0.0063, 0.0029)}
+    work = {"parent": 73080, "change": 50790}
+    runs = {side: [{"serialize.emit.s": e, "linalg.rref.work": work[side],
+                    "serialize.bytes_out": 282200} for e in emit[side]] for side in emit}
+    wanted = ("serialize.emit.s", "linalg.rref.work", "serialize.bytes_out")
+    summary = script.summarize(runs["parent"], runs["change"], {m: better[m] for m in wanted})
+    assert summary["pairs"] == 5
+    assert summary["serialize.emit.s"]["parent"]["median"] == 0.0047
+    assert summary["serialize.emit.s"]["change"]["median"] == 0.0031
+    assert summary["serialize.emit.s"]["change_wins"] == 4  # pair 4 is a loss
+    assert summary["linalg.rref.work"]["change"] == {"median": 50790, "q1": 50790, "q3": 50790}
+    assert summary["linalg.rref.work"]["change_wins"] == 5
+    bytes_out = summary["serialize.bytes_out"]
+    assert bytes_out["parent"] == bytes_out["change"] and bytes_out["change_wins"] == 0
+
+
+def test_bench_pairs_refuses_checkouts_at_paths_of_different_length(tmp_path, capsys):
+    script = load_script("bench_pairs")
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "changed").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        script.main([str(tmp_path / "parent"), str(tmp_path / "changed"),
+                     "--workload", "classify_ladder", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "differ in length" in capsys.readouterr().err
+
+
+def test_bench_pairs_passes_the_trace_flag_and_reads_the_layer_metrics(monkeypatch):
+    script = load_script("bench_pairs")
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        calls.append(argv)
+        result = {"correct": True, "metrics": {"serialize.emit.s": {"value": 0.003, "unit": "s"}}}
+        return subprocess.CompletedProcess(argv, 0, stdout="{}\n" + json.dumps(result) + "\n")
+
+    monkeypatch.setattr(script.subprocess, "run", fake_run)
+    assert script.run_once(ROOT, "classify_ladder", 5, 10.0, trace=1) == {"serialize.emit.s": 0.003}
+    assert calls[0][calls[0].index("--trace") + 1] == "1"
+    script.run_once(ROOT, "classify_ladder", 5, 10.0)
+    assert calls[1][calls[1].index("--trace") + 1] == "0"

@@ -2,18 +2,35 @@
 and the single conversion of each value on the way in and on the way out."""
 
 import json
+import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import subspace_text
-from toric_cohiggs import Mat, Subspace, cli, field_from_vector_field, linalg, serialize
+from conftest import random_bundle, standard_cone_fan
+from reference import line_sum, ref_classification_obj, subspace_text
+from toric_cohiggs import (
+    Mat,
+    Subspace,
+    classify,
+    cli,
+    endalg,
+    fan_pn,
+    fan_product,
+    field_from_vector_field,
+    linalg,
+    serialize,
+    tangent_bundle,
+)
 from toric_cohiggs.errors import SchemaError
 from toric_cohiggs.serialize import (
     bundle_from_obj,
     bundle_to_obj,
+    classification_to_obj,
     dumps_canonical,
     fan_from_obj,
     fan_to_obj,
@@ -282,3 +299,84 @@ def test_check_never_builds_a_fraction_basis(bundle_zoo, tmp_path, monkeypatch, 
             assert cli.main(["check", str(path), "--format", fmt]) == 0
             assert ("basis" in capsys.readouterr().out) == (name != "three_lines")
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# classification and algebra reports from integers
+
+GOLDEN_BUNDLE = Path(__file__).parent / "golden" / "fractional_p1xp2" / "bundle.json"
+REPORT_FANS = (fan_pn(1), standard_cone_fan(1), fan_pn(2), standard_cone_fan(2),
+               fan_product(fan_pn(1), fan_pn(1)), standard_cone_fan(3))
+
+
+def assert_renders_as_the_mat_path(v):
+    """The report written from integers is byte-equal to the one written from
+    the report's ``Mat`` accessors and ``Fraction`` forms."""
+    report = classify(v)
+    text = dumps_canonical(classification_to_obj(report))
+    assert text == dumps_canonical(ref_classification_obj(report))
+    return report
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(REPORT_FANS), st.integers(1, 4))
+def test_classification_report_renders_as_the_mat_path(rng, fan, r):
+    assert_renders_as_the_mat_path(random_bundle(rng, fan, r))
+
+
+def test_rendered_reports_cover_scaled_rows_both_kinds_of_algebra_and_n_1():
+    rng = random.Random(97)
+    seen = Counter()
+    for _ in range(60):
+        fan = rng.choice(REPORT_FANS)
+        report = assert_renders_as_the_mat_path(random_bundle(rng, fan, rng.randint(1, 4)))
+        alg, cen = report.algebra, report.center_basis.coords
+        dens = alg._scales[0]
+        seen["commutative" if report.commutative else "non-commutative"] += 1
+        seen["n = 1, non-commutative"] += fan.n == 1 and not report.commutative
+        # a basis row over a pivot entry d_a > 1, a center row over y[p]·L > 1,
+        # and a form entry that stays a fraction after its gcd
+        seen["d_a > 1"] += any(d > 1 for d in dens)
+        seen["center over > 1"] += any(y[p] * alg._scales[1] > 1 for y, p in zip(cen.rows, cen.pivots))
+        seen["fractional form"] += not report.commutative and fan.n > 1 and any(
+            diff % (dens[a] * dens[b]) for a, b, _, diff in alg.differences)
+    assert min(seen.values()) >= 5, seen
+    assert len(seen) == 6
+
+
+def test_golden_classification_renders_as_the_mat_path():
+    report = assert_renders_as_the_mat_path(load_bundle(GOLDEN_BUNDLE))
+    assert not report.commutative and report.tuple_equations.forms
+
+
+def test_reports_share_one_zero_row_per_matrix_size():
+    report = classify(line_sum(fan_pn(2), [0, 1, 2]))
+    obj = classification_to_obj(report)
+    rows = [row for m in obj["basis"] + obj["center"] for row in m]
+    zero_rows = [row for row in rows if set(row) == {"0"}]
+    assert zero_rows and all(row is zero_rows[0] for row in zero_rows)
+    form_rows = [row for form in obj["tuple_equations"]["forms"] for row in form]
+    zero_form_rows = [row for row in form_rows if set(row) == {"0"}]
+    assert zero_form_rows and all(row is zero_form_rows[0] for row in zero_form_rows)
+    # a commutative algebra's generators hold one shared zero matrix
+    tangent = tangent_bundle(fan_product(fan_pn(1), fan_pn(1)))
+    gens = classification_to_obj(classify(tangent))["generators"]
+    zeros = [m for gen in gens for m in gen if all(set(row) == {"0"} for row in m)]
+    assert zeros and all(m is zeros[0] for m in zeros)
+
+
+@pytest.mark.parametrize("verb", ["classify", "endalg"])
+def test_algebra_reports_build_no_mat_and_no_fraction(verb, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the report path")
+
+    paths = [GOLDEN_BUNDLE, tmp_path / "ladder.json", tmp_path / "commutative.json"]
+    save_json(paths[1], bundle_to_obj(line_sum(fan_pn(2), [0, 1, 2, 2])))
+    save_json(paths[2], bundle_to_obj(tangent_bundle(fan_product(fan_pn(1), fan_pn(1)))))
+    for name in ("__init__", "_trusted"):
+        monkeypatch.setattr(Mat, name, refuse)
+    monkeypatch.setattr(endalg, "Fraction", refuse)
+    monkeypatch.setattr(serialize, "rat_str", refuse)
+    for path in paths:
+        assert cli.main([verb, str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verb"] == verb

@@ -63,10 +63,10 @@ def run_cases() -> list[dict]:
     return cases
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--write", action="store_true", help="refresh the golden file")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     cases = run_cases()
     for c in cases:
         print(

@@ -46,10 +46,10 @@ def build_zoo():
     return zoo
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--json", action="store_true", help="emit full JSON reports")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     zoo = build_zoo()
     reports = {}
     for name, bundle in sorted(zoo.items()):

@@ -10,7 +10,6 @@ import importlib.util
 import json
 import re
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -26,47 +25,59 @@ def load_script(name: str):
 
 
 @pytest.mark.parametrize("args", [[], ["--json"]])
-def test_classify_survey_runs(args, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["classify_survey.py", *args])
-    assert load_script("classify_survey").main() == 0
+def test_classify_survey_runs(args, capsys):
+    assert load_script("classify_survey").main(args) == 0
     assert "tangent_pn2" in capsys.readouterr().out
 
 
-def test_canonical_pair_experiment_runs_and_matches_golden(monkeypatch, capsys):
+def test_canonical_pair_experiment_runs_and_matches_golden(capsys):
     script = load_script("canonical_pair_experiment")
-    monkeypatch.setattr(sys, "argv", ["canonical_pair_experiment.py"])
-    assert script.main() == 0
+    assert script.main([]) == 0
     assert "wrote" not in capsys.readouterr().out
     golden = json.loads((ROOT / "tests" / "golden" / "canonical_pair.json").read_text())
     assert script.run_cases() == golden["cases"]
 
 
-def test_classify_scale_runs_on_small_ranks(capsys, monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "scripts"))  # for the shared child_run
-    assert load_script("classify_scale").main(["--min", "2", "--max", "4"]) == 0
+@pytest.mark.parametrize("verb, names, dim_h", [
+    ("check", ("T", "T+O(D0)"), (("-", "-"),) * 3),
+    ("classify", ("O^k", "O(0..k-1)"), ((4, 3), (9, 6), (16, 10))),
+], ids=["check", "classify"])
+def test_scale_runs_at_small_sizes(verb, names, dim_h, capsys):
+    assert load_script("scale").main([verb, "--min", "2", "--max", "4"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["k", "bundle", "dim_h", "seconds", "report_bytes", "peak_rss_mb"]
+    assert header.split() == ["size", "bundle", "dim_h", "seconds", "report_bytes", "peak_rss_mb"]
     assert [row.split()[:3] for row in rows] == [
-        [str(k), name, str(dim_h)]
-        for k, square, triangle in ((2, 4, 3), (3, 9, 6), (4, 16, 10))
-        for name, dim_h in (("O^k", square), ("O(0..k-1)", triangle))
+        [str(size), name, str(d)]
+        for size, row_dims in zip((2, 3, 4), dim_h)
+        for name, d in zip(names, row_dims)
     ]
     sizes = [int(row.split()[4]) for row in rows]
     assert all(size > 0 for size in sizes)
     assert sizes[0::2] == sorted(sizes[0::2]) and sizes[1::2] == sorted(sizes[1::2])
 
 
-def test_check_scale_runs_on_small_dimensions(capsys, monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    assert load_script("check_scale").main(["--min", "2", "--max", "4"]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["n", "bundle", "seconds", "report_bytes", "peak_rss_mb"]
-    assert [row.split()[:2] for row in rows] == [
-        [str(n), name] for n in (2, 3, 4) for name in ("T", "T+O(D0)")
-    ]
-    sizes = [int(row.split()[3]) for row in rows]
-    assert all(size > 0 for size in sizes)
-    assert sizes[0::2] == sorted(sizes[0::2]) and sizes[1::2] == sorted(sizes[1::2])
+def test_scale_names_the_verb_and_exit_code_of_a_failing_child(tmp_path):
+    bundle = tmp_path / "bad.bundle.json"
+    bundle.write_text("{")
+    with pytest.raises(RuntimeError, match=r"^check \S+ exited 1$"):
+        load_script("scale").run_cli(["check", str(bundle)], tmp_path / "bad.report")
+
+
+@pytest.mark.parametrize("bounds", [["--min", "0"], ["--min", "5", "--max", "4"]])
+def test_scale_refuses_a_size_range_that_is_empty_or_below_one(bounds, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_script("scale").main(["classify", *bounds])
+    assert exc.value.code == 2
+    assert "need 1 <= --min <= --max" in capsys.readouterr().err
+
+
+def test_readme_names_each_script_that_exists_and_no_other():
+    readme = (ROOT / "README.md").read_text()
+    named = set(re.findall(r"scripts/(\w+)\.py", readme))
+    assert {name for name in named if not (ROOT / "scripts" / f"{name}.py").is_file()} == set()
+    block = re.search(r"^## Scripts\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    listed = set(re.findall(r"scripts/(\w+)\.py", block))
+    assert {path.stem for path in (ROOT / "scripts").glob("*.py")} - listed == set()
 
 
 def test_import_rss_reports_memory_after_the_benchmark_set_up_imports(capsys):

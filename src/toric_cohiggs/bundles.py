@@ -284,8 +284,24 @@ class ConeGrading:
 
 @dataclass(frozen=True)
 class Incompatible:
+    """An incompatible cone: its forced multiplicities sum to ``total``, not
+    to the rank ``r`` (the pieces span Q^r, so total > r).  ``reason`` is the
+    oracle's wording; ``certificate``, the reports', adds the pieces' dependence."""
+
     cone: Cone
-    certificate: str
+    total: int
+    r: int
+
+    @property
+    def reason(self) -> str:
+        return f"forced multiplicities sum to {self.total}, expected rank {self.r}"
+
+    @property
+    def certificate(self) -> str:
+        return (
+            "candidate pieces are not jointly independent: dimensions sum to "
+            f"{self.total} but span has dimension {self.r}; oracle: {self.reason}"
+        )
 
 
 @dataclass(frozen=True)
@@ -347,30 +363,12 @@ def _greedy_pieces(v: TVB, sigma: Cone) -> dict[tuple[int, ...], Subspace]:
     return pieces
 
 
-def _count_mismatch(dims: Iterable[int], r: int) -> tuple[str, str] | None:
-    """The certificate of an incompatible cone, or None when it is compatible.
-
-    ``dims`` are the forced multiplicities.  The certificate comes in two
-    wordings: as the greedy pieces' failure to be independent (they always
-    span Q^r), and as the failed count.
-    """
-    total = sum(dims)
-    if total == r:
-        return None
-    return (
-        f"candidate pieces are not jointly independent: dimensions sum to "
-        f"{total} but span has dimension {r}",
-        f"forced multiplicities sum to {total}, expected rank {r}",
-    )
-
-
 def adapted_basis_oracle(v: TVB, sigma: Cone) -> OracleVerdict:
     """Whether an adapted grading exists on one cone, by the forced-multiplicity count."""
-    pieces = _greedy_pieces(v, sigma)
-    mismatch = _count_mismatch((piece.dim for piece in pieces.values()), v.r)
-    if mismatch is None:
+    total = sum(piece.dim for piece in _greedy_pieces(v, sigma).values())
+    if total == v.r:
         return OracleVerdict(True)
-    return OracleVerdict(False, mismatch[1])
+    return OracleVerdict(False, Incompatible(sigma, total, v.r).reason)
 
 
 def cone_grading(v: TVB, sigma: Cone) -> ConeGrading | Incompatible:
@@ -382,10 +380,9 @@ def cone_grading(v: TVB, sigma: Cone) -> ConeGrading | Incompatible:
     """
     duals = dual_basis(v.fan, sigma)
     pieces = _greedy_pieces(v, sigma)
-    mismatch = _count_mismatch((piece.dim for piece in pieces.values()), v.r)
-    if mismatch is not None:
-        rebuild, count = mismatch
-        return Incompatible(sigma, f"{rebuild}; oracle: {count}")
+    total = sum(piece.dim for piece in pieces.values())
+    if total != v.r:
+        return Incompatible(sigma, total, v.r)
     # character of grid point u: u_j = Σ_k u_k duals[k][j], one column per j
     columns = tuple(zip(*duals))
     graded = [

@@ -92,14 +92,14 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # fixtures
 
-def _example_fan(variety: str, dim: int) -> Fan:
+def _example_fan(variety: str, dim: int) -> tuple[Fan, str]:
     if variety == "pn":
         if dim < 1:
             raise SchemaError(f"--dim {dim}: projective space fan needs n >= 1")
-        return fan_pn(dim)
+        return fan_pn(dim), f"pn{dim}"
     if variety == "p1xp1":
-        return fan_product(fan_pn(1), fan_pn(1))
-    return fan_product(fan_pn(1), fan_pn(2))
+        return fan_product(fan_pn(1), fan_pn(1)), variety
+    return fan_product(fan_pn(1), fan_pn(2)), variety
 
 
 def three_lines_bundle() -> TVB:
@@ -114,8 +114,7 @@ def three_lines_bundle() -> TVB:
 
 def _make_example(args) -> tuple[str, dict]:
     if args.kind == "tangent":
-        fan = _example_fan(args.variety, args.dim)
-        tag = f"pn{args.dim}" if args.variety == "pn" else args.variety
+        fan, tag = _example_fan(args.variety, args.dim)
         return f"tangent_{tag}.bundle.json", serialize.bundle_to_obj(tangent_bundle(fan))
     if args.kind == "hirzebruch":
         if args.a < 0:
@@ -126,8 +125,7 @@ def _make_example(args) -> tuple[str, dict]:
             serialize.bundle_to_obj(tangent_bundle(fan)),
         )
     if args.kind == "canonical":
-        fan = _example_fan(args.variety, args.dim)
-        tag = f"pn{args.dim}" if args.variety == "pn" else args.variety
+        fan, tag = _example_fan(args.variety, args.dim)
         bundle, mats = canonical_pair(fan)
         field = ToricCoHiggsField(bundle, mats)
         return f"canonical_{tag}.field.json", serialize.field_to_obj(field)
@@ -177,16 +175,15 @@ def _input_digest(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # verb handlers: each returns (report dict, verdict_positive flag)
 
-def _load_bundle_checked(path: str) -> TVB:
-    bundle = serialize.load_bundle(path)
+def _fan_checked(bundle: TVB, what: str = "bundle") -> TVB:
     fan_verdict = validate_fan(bundle.fan)
     if not fan_verdict.ok:
-        raise SchemaError(f"bundle fan is invalid: {fan_verdict.reason}")
+        raise SchemaError(f"{what} fan is invalid: {fan_verdict.reason}")
     return bundle
 
 
 def _run_check(args) -> tuple[dict, bool]:
-    bundle = _load_bundle_checked(args.bundle)
+    bundle = _fan_checked(serialize.load_bundle(args.bundle))
     verdict = is_vector_bundle(bundle)
     report = {
         "verb": "check",
@@ -197,7 +194,7 @@ def _run_check(args) -> tuple[dict, bool]:
 
 
 def _run_endalg(args) -> tuple[dict, bool]:
-    bundle = _load_bundle_checked(args.bundle)
+    bundle = _fan_checked(serialize.load_bundle(args.bundle))
     alg = filtered_endos(bundle)
     report = {
         "verb": "endalg",
@@ -205,7 +202,7 @@ def _run_endalg(args) -> tuple[dict, bool]:
         "dim": alg.dim,
         "basis": serialize.algebra_basis_to_obj(alg, ["0"] * bundle.r),
         "commutative": is_commutative(alg),
-        "center_dim": len(center(alg)),
+        "center_dim": center(alg).dim,
         "tuple_equations": serialize.tuple_eqs_to_obj(tuple_variety_equations(alg, bundle.fan.n)),
         "notes": [
             "dim counts the linear algebra of filtered endomorphisms; its "
@@ -216,7 +213,7 @@ def _run_endalg(args) -> tuple[dict, bool]:
 
 
 def _run_classify(args) -> tuple[dict, bool]:
-    bundle = _load_bundle_checked(args.bundle)
+    bundle = _fan_checked(serialize.load_bundle(args.bundle))
     report = classify(bundle)
     obj = {
         "verb": "classify",
@@ -228,9 +225,7 @@ def _run_classify(args) -> tuple[dict, bool]:
 
 def _run_validate_field(args) -> tuple[dict, bool]:
     field = serialize.load_field(args.field)
-    fan_verdict = validate_fan(field.bundle.fan)
-    if not fan_verdict.ok:
-        raise SchemaError(f"field bundle fan is invalid: {fan_verdict.reason}")
+    _fan_checked(field.bundle, "field bundle")
     verdict = validate_field(field.bundle, field.mats)
     integrability = verify_integrability(field)
     report = {
@@ -246,20 +241,14 @@ def _run_validate_field(args) -> tuple[dict, bool]:
 
 
 def _run_chern(args) -> tuple[dict, bool]:
-    bundle = _load_bundle_checked(args.bundle)
+    bundle = _fan_checked(serialize.load_bundle(args.bundle))
     verdict = is_vector_bundle(bundle)
-    report = {
-        "verb": "chern",
-        "inputs": {"bundle": _input_digest(args.bundle)},
-        "compatible": verdict.compatible,
-    }
-    if verdict.compatible:
-        report["chern"] = serialize.chern_to_obj(equivariant_chern_data(bundle, verdict))
-        return report, True
-    report["status"] = verdict.status
-    report["cone"] = verdict.cone_index
-    report["certificate"] = verdict.certificate
-    return report, False
+    report = {"verb": "chern", "inputs": {"bundle": _input_digest(args.bundle)}}
+    if not verdict.compatible:
+        return {**report, **serialize.bundle_verdict_to_obj(verdict)}, False
+    report["compatible"] = True
+    report["chern"] = serialize.chern_to_obj(equivariant_chern_data(bundle, verdict))
+    return report, True
 
 
 def _run_example(args) -> int:

@@ -19,6 +19,7 @@ combination of the integer matrices D·A_j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -33,7 +34,6 @@ from .bundles import (
     tangent_bundle,
 )
 from .endalg import (
-    Elements,
     FilteredEndAlgebra,
     TupleVarietyEqs,
     center,
@@ -42,7 +42,7 @@ from .endalg import (
     tuple_variety_equations,
 )
 from .fans import Character, Cone, Fan, dual_basis
-from .linalg import Mat, Q, _integer_commute, as_vec, commutes, preserves
+from .linalg import Mat, Subspace, _integer_commute, as_vec, commutes, preserves
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def chart_expansion(field: ToricCoHiggsField, sigma: Cone) -> ChartExpansion:
     duals, den, charts = _integer_charts(field, sigma)
     r = field.bundle.r
     terms = (
-        (u, Mat._trusted([[Q(x, den) for x in row] for row in m], r))
+        (u, Mat._trusted([[Fraction(x, den) for x in row] for row in m], r))
         for u, m in zip(duals, charts)
     )
     return ChartExpansion(sigma, tuple(terms))
@@ -205,7 +205,7 @@ class ClassificationReport:
     algebra: FilteredEndAlgebra
     dim_h: int
     commutative: bool
-    center_basis: Elements
+    center: Subspace  # in algebra coordinates, as endalg.center returns it
     parameters: int | None
     tuple_equations: TupleVarietyEqs | None
     chern: ChernData | None
@@ -215,6 +215,12 @@ class ClassificationReport:
     @property
     def basis(self) -> tuple[Mat, ...]:
         return self.algebra.basis
+
+    @property
+    def center_basis(self) -> tuple[Mat, ...]:
+        """The center's elements y / y[p], one per coordinate row y with pivot p."""
+        cen = self.center
+        return tuple(self.algebra.element(y, y[p]) for y, p in zip(cen.rows, cen.pivots))
 
     @property
     def generators(self) -> tuple[tuple[Mat, ...], ...] | None:
@@ -257,7 +263,7 @@ def classify(v: TVB) -> ClassificationReport:
         algebra=alg,
         dim_h=alg.dim,
         commutative=commutative,
-        center_basis=center(alg),
+        center=center(alg),
         parameters=n * alg.dim if commutative else None,
         tuple_equations=None if commutative else tuple_variety_equations(alg, n),
         chern=equivariant_chern_data(v, verdict) if verdict.compatible else None,

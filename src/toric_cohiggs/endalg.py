@@ -15,8 +15,8 @@ R_b with a nonzero row j.  The nonzero differences P_ab - P_ba are listed
 once, and commutativity, the sparse commutator forms (per row, the nonzero
 (column, value) pairs) and the center all read that list.  The center is
 solved on the coordinates its single-entry equations do not pin to 0.  The
-``Mat``s and ``Fraction``s of ``basis``, the center and the forms are built
-on first use; reports are written from the integers (``serialize``).
+``Mat``s and ``Fraction``s of ``basis`` and the forms are built on first
+use; reports are written from the integers (``serialize``).
 
 The algebra is handled as a linear solution space, not as its unit group:
 invertibility is an open condition on top of the linear data and is reported,
@@ -171,35 +171,10 @@ def is_commutative(alg: FilteredEndAlgebra) -> bool:
     return not alg.differences
 
 
-class Elements:
-    """The elements y / y[p] for the rows y (pivot p) of a canonical subspace
-    of algebra coordinates: a sequence whose ``Mat``s are built on first access."""
-
-    def __init__(self, alg: FilteredEndAlgebra, coords: Subspace):
-        self.alg, self.coords = alg, coords
-
-    def __len__(self) -> int:
-        return self.coords.dim
-
-    def __getitem__(self, i):
-        return self._mats[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, (list, tuple, Elements)) and self._mats == list(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._mats))
-
-    def __repr__(self) -> str:
-        return f"Elements({self._mats!r})"
-
-    @cached_property
-    def _mats(self) -> list[Mat]:
-        return [self.alg.element(y, y[p]) for y, p in zip(self.coords.rows, self.coords.pivots)]
-
-
-def center(alg: FilteredEndAlgebra) -> Elements:
-    """Basis of {Z in the algebra : [Z, A] = 0 for every basis element A}.
+def center(alg: FilteredEndAlgebra) -> Subspace:
+    """{Z in the algebra : [Z, A] = 0 for every basis element A}, as its
+    canonical subspace of algebra coordinates; row y with pivot p is the
+    element y / y[p] (``FilteredEndAlgebra.element``).
 
     Coordinates x with sum_b B_k[a][b] x_b = 0 for all k, a: row (k, a) times
     d_a·L, L the lcm of the pivot entries, is (P_ab[k] - P_ba[k])·L/d_b over b,
@@ -225,7 +200,7 @@ def center(alg: FilteredEndAlgebra) -> Elements:
     system = [list(map(dict(eq).get, free, zero)) for eq in rows]
     kern = _kernel_of_rows(system, len(free)) if system else Subspace.full(len(free))
     lifted = [tuple(map(dict(zip(free, y)).get, range(d), zero)) for y in kern.rows]
-    return Elements(alg, Subspace._canonical(d, lifted, [free[p] for p in kern.pivots]))
+    return Subspace._canonical(d, lifted, [free[p] for p in kern.pivots])
 
 
 def structure_constants(alg: FilteredEndAlgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:

@@ -46,12 +46,10 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-Q = Fraction
-
 Vec = tuple[Fraction, ...]
 
-_ZERO = Q(0)
-_ONE = Q(1)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")

@@ -474,7 +474,7 @@ def integrability_to_obj(verdict: IntegrabilityVerdict) -> dict:
 
 
 def classification_to_obj(report: ClassificationReport) -> dict:
-    alg, cen, zero_row = report.algebra, report.center_basis.coords, ["0"] * report.rank
+    alg, cen, zero_row = report.algebra, report.center, ["0"] * report.rank
     basis = algebra_basis_to_obj(alg, zero_row)
     # each center element is the combination of its kernel row y over y[p]·L
     dens = [y[p] * alg._scales[1] for y, p in zip(cen.rows, cen.pivots)]

@@ -14,6 +14,7 @@ from toric_cohiggs import (
     Mat,
     Subspace,
     TVB,
+    center,
     direct_sum,
     fan_hirzebruch,
     fan_pn,
@@ -25,6 +26,12 @@ from toric_cohiggs import (
 from toric_cohiggs.cli import three_lines_bundle  # noqa: F401  (re-exported to the tests)
 
 from reference import mul_vec
+
+
+def center_elements(alg) -> list[Mat]:
+    """``center(alg)`` as matrices: each coordinate row y over its pivot entry y[p]."""
+    cen = center(alg)
+    return [alg.element(y, y[p]) for y, p in zip(cen.rows, cen.pivots)]
 
 
 def standard_cone_fan(n: int) -> Fan:

@@ -29,7 +29,7 @@ from toric_cohiggs import (
     tensor_line,
 )
 from toric_cohiggs import bundles
-from toric_cohiggs.bundles import _greedy_pieces
+from toric_cohiggs.bundles import OracleVerdict, _greedy_pieces
 from toric_cohiggs.fans import dual_basis
 
 from conftest import (
@@ -451,10 +451,17 @@ def test_rank_five_three_lines_is_decided_incompatible():
     verdict = is_vector_bundle(fat)
     assert verdict.status == "incompatible"
     assert verdict.cone_index == 0
-    assert verdict.certificate == (
+    certificate = (
         "candidate pieces are not jointly independent: dimensions sum to 6 but "
         "span has dimension 5; oracle: forced multiplicities sum to 6, expected rank 5"
     )
+    assert verdict.certificate == certificate
+    sigma = fat.fan.max_cones[0]
+    out = cone_grading(fat, sigma)
+    assert isinstance(out, Incompatible) and (out.cone, out.total, out.r) == (sigma, 6, 5)
+    assert out.certificate == certificate
+    assert out.reason == "forced multiplicities sum to 6, expected rank 5"
+    assert adapted_basis_oracle(fat, sigma) == OracleVerdict(False, out.reason)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ walked in a sorted order, it folds subspace sums two at a time, it
 row-reduces a fresh full space for every level below the first threshold,
 and it verifies a grading by rebuilding every filtration value from the
 pieces.  The library must give the same pieces (as a mapping: its walk has no
-order), the same verdicts and certificates, and the same oracle verdicts and
-reasons.  The reference oracle's search over support subsets (Rado's
-condition) runs at rank <= 4 only, where it is affordable; at every rank
-the rebuild check decides the reference verdict.
+order), the same verdicts, certificates that render the reference's wording
+(compared as text), and the same oracle verdicts and reasons.  The reference
+oracle's search over support subsets (Rado's condition) runs at rank <= 4
+only, where it is affordable; at every rank the rebuild check decides the
+reference verdict.
 """
 
 import itertools
@@ -107,6 +108,7 @@ def reference_oracle(v, sigma):
 
 
 def reference_cone_grading(v, sigma):
+    """The reference grading, or the certificate text of an incompatible cone."""
     filts = [v.filts[i] for i in sigma.ray_indices]
     pieces = reference_pieces(filts, v.r)
     cert = reference_verify(filts, sigma.ray_indices, v.r, pieces)
@@ -123,7 +125,19 @@ def reference_cone_grading(v, sigma):
             for levels, piece in pieces.items()
         )
         return ConeGrading(sigma, tuple(graded))
-    return Incompatible(sigma, f"{cert}; oracle: {reference_oracle(v, sigma).reason}")
+    return f"{cert}; oracle: {reference_oracle(v, sigma).reason}"
+
+
+def _assert_same_outcome(got, ref, v, sigma):
+    """The reference's grading, or an incompatible record of the same cone
+    whose certificate is the reference's text; by the lemma of the bundles
+    module its multiplicities overshoot the rank."""
+    if isinstance(ref, str):
+        assert isinstance(got, Incompatible) and got.cone == sigma and got.r == v.r
+        assert got.certificate == ref
+        assert got.total > got.r
+    else:
+        assert got == ref
 
 
 def _assert_matches_reference(v):
@@ -132,7 +146,7 @@ def _assert_matches_reference(v):
         filts = [v.filts[i] for i in sigma.ray_indices]
         assert _greedy_pieces(v, sigma) == reference_pieces(filts, v.r)
         got = cone_grading(v, sigma)
-        assert got == reference_cone_grading(v, sigma)
+        _assert_same_outcome(got, reference_cone_grading(v, sigma), v, sigma)
         assert adapted_basis_oracle(v, sigma) == reference_oracle(v, sigma)
         outcomes.add(type(got))
     return outcomes
@@ -207,8 +221,8 @@ def adapted_bundle(rng, fan, r):
 
 def _expected_verdict(references):
     for idx, ref in enumerate(references):
-        if isinstance(ref, Incompatible):
-            return ("incompatible", idx, ref.certificate, None)
+        if isinstance(ref, str):
+            return ("incompatible", idx, ref, None)
     return ("compatible", None, None, tuple(references))
 
 
@@ -254,7 +268,8 @@ def test_shared_table_matches_reference_on_multi_cone_fans(fan_name):
                     if kind == "bundle":
                         assert _verdict_tuple(is_vector_bundle(v)) == expected
                     elif kind == "grading":
-                        assert cone_grading(v, fan.max_cones[i]) == references[i]
+                        sigma = fan.max_cones[i]
+                        _assert_same_outcome(cone_grading(v, sigma), references[i], v, sigma)
                     else:
                         assert adapted_basis_oracle(v, fan.max_cones[i]) == oracles[i]
     # two filtrations always share an adapted basis, so surfaces never fail

@@ -330,7 +330,7 @@ def test_rendered_reports_cover_scaled_rows_both_kinds_of_algebra_and_n_1():
     for _ in range(60):
         fan = rng.choice(REPORT_FANS)
         report = assert_renders_as_the_mat_path(random_bundle(rng, fan, rng.randint(1, 4)))
-        alg, cen = report.algebra, report.center_basis.coords
+        alg, cen = report.algebra, report.center
         dens = alg._scales[0]
         seen["commutative" if report.commutative else "non-commutative"] += 1
         seen["n = 1, non-commutative"] += fan.n == 1 and not report.commutative

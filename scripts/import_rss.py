@@ -8,6 +8,10 @@ measures that cost alone.  One child interpreter runs under
 ``PYTHONDONTWRITEBYTECODE=1``, purges the package from ``sys.modules`` and
 imports ``toric_cohiggs.cli`` 21 times.  It prints the child's VmRSS before
 the first import and after the last, and its peak RSS (``ru_maxrss``), in MB.
+A second child does the same with a ``gc.collect()`` before each import and
+prints the three numbers again, prefixed ``collected_``: much of the first
+child's peak is garbage of earlier imports that the cyclic collector has not
+freed yet, so the pair separates the program's size from collector timing.
 VmRSS is read from ``/proc/self/status``, so this runs on Linux only.
 
 Usage: python3 scripts/import_rss.py
@@ -25,7 +29,7 @@ import toric_cohiggs
 REPEATS = 21  # bench/run.py's SETUP_REPEATS
 
 CHILD = f"""if True:
-    import importlib, resource, sys
+    import gc, importlib, resource, sys
 
     def vmrss_mb():
         with open("/proc/self/status") as f:
@@ -37,9 +41,12 @@ CHILD = f"""if True:
     for _ in range({REPEATS}):
         for name in [m for m in sys.modules if m.split(".")[0] == "toric_cohiggs"]:
             del sys.modules[name]
+        if sys.argv[1] == "collect":
+            gc.collect()
         importlib.import_module("toric_cohiggs.cli")
+    after = vmrss_mb()  # before the peak is read, so the peak covers it
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(before, vmrss_mb(), peak)
+    print(before, after, peak)
 """
 
 
@@ -47,13 +54,14 @@ def main() -> int:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     src = str(Path(toric_cohiggs.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    before, after, peak = map(float, out.split())
     print(f"imports {REPEATS}")
-    print(f"vmrss_before_mb {before:.2f}")
-    print(f"vmrss_after_mb {after:.2f}")
-    print(f"ru_maxrss_mb {peak:.2f}")
+    for mode, prefix in (("plain", ""), ("collect", "collected_")):
+        out = subprocess.run([sys.executable, "-c", CHILD, mode], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        before, after, peak = map(float, out.split())
+        print(f"{prefix}vmrss_before_mb {before:.2f}")
+        print(f"{prefix}vmrss_after_mb {after:.2f}")
+        print(f"{prefix}ru_maxrss_mb {peak:.2f}")
     return 0
 
 

@@ -60,7 +60,7 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable, Mapping
 
-from .fans import Character, Cone, Fan, dual_basis
+from .fans import Character, Cone, Fan, as_int, dual_basis
 from .linalg import (
     Subspace,
     complement_within,
@@ -84,7 +84,7 @@ class Filtration:
     steps: tuple[tuple[int, Subspace], ...]
 
     def __post_init__(self):
-        steps = tuple((int(j), v) for j, v in self.steps)
+        steps = tuple((as_int(j, "threshold"), v) for j, v in self.steps)
         object.__setattr__(self, "steps", steps)
         if not steps:
             raise ValueError("a filtration needs at least one step")
@@ -134,7 +134,7 @@ def normalize_filtration(r: int, raw_steps: Iterable[tuple[int, Subspace]]) -> F
     sorted raw steps leave a cleaned sequence that is normalized, so it is
     stored without the constructor's checks.
     """
-    steps = sorted(((int(j), v) for j, v in raw_steps), key=lambda p: p[0])
+    steps = sorted(((as_int(j, "threshold"), v) for j, v in raw_steps), key=lambda p: p[0])
     for (j0, v0), (j1, v1) in zip(steps, steps[1:]):
         if j0 == j1 and v0 != v1:
             raise ValueError(f"two different subspaces at threshold {j0}")
@@ -196,22 +196,17 @@ class TVB:
         return got
 
 
-def _twist(x) -> int:
-    """One twist: an int, or a Fraction that is one; anything else is refused, not truncated."""
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ValueError(f"twist {x!r} is not an integer")
-    return int(x)
-
-
 def _per_ray_ints(fan: Fan, a) -> tuple[int, ...]:
     """Accept an int (constant), a sequence, or a mapping ray index -> int."""
+    rays = range(len(fan.rays))
     if isinstance(a, Mapping):
-        return tuple(_twist(a.get(i, 0)) for i in range(len(fan.rays)))
+        stray = [k for k in a if k not in rays]
+        if stray:
+            raise ValueError(f"twist keys {stray} name no ray of the fan")
+        return tuple(as_int(a.get(i, 0), "twist") for i in rays)
     if isinstance(a, (int, float, Fraction)):
-        return (_twist(a),) * len(fan.rays)
-    vals = tuple(map(_twist, a))
+        return (as_int(a, "twist"),) * len(fan.rays)
+    vals = tuple(as_int(t, "twist") for t in a)
     if len(vals) != len(fan.rays):
         raise ValueError(f"{len(vals)} twist values for {len(fan.rays)} rays")
     return vals

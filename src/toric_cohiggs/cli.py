@@ -48,8 +48,9 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="toric-cohiggs", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p):
+    for verb, (arg, help_, _) in VERBS.items():
+        p = sub.add_parser(verb, help=help_)
+        p.add_argument(arg)
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--output", help="also write the JSON report to this path")
         p.add_argument(
@@ -57,26 +58,6 @@ def _build_parser() -> _Parser:
             action="store_true",
             help="exit 3 when the mathematical verdict is negative",
         )
-
-    p = sub.add_parser("check", help="compatibility of a bundle file")
-    p.add_argument("bundle")
-    common(p)
-
-    p = sub.add_parser("endalg", help="filtered endomorphism algebra of a bundle")
-    p.add_argument("bundle")
-    common(p)
-
-    p = sub.add_parser("classify", help="classify valid field tuples on a bundle")
-    p.add_argument("bundle")
-    common(p)
-
-    p = sub.add_parser("validate-field", help="validate a field file")
-    p.add_argument("field")
-    common(p)
-
-    p = sub.add_parser("chern", help="fixed-point character data of a bundle")
-    p.add_argument("bundle")
-    common(p)
 
     p = sub.add_parser("example", help="write a built-in fixture file, print its path")
     p.add_argument(
@@ -168,37 +149,18 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write("\n".join(_text_lines(report)) + "\n")
 
 
-def _input_digest(path: str) -> dict:
-    return {"path": path, "sha256": serialize.file_digest(path)}
-
-
 # ---------------------------------------------------------------------------
-# verb handlers: each returns (report dict, verdict_positive flag)
+# report verbs: each handler takes the loaded bundle or field and returns
+# (report body, verdict positive); main adds "verb" and "inputs"
 
-def _fan_checked(bundle: TVB, what: str = "bundle") -> TVB:
-    fan_verdict = validate_fan(bundle.fan)
-    if not fan_verdict.ok:
-        raise SchemaError(f"{what} fan is invalid: {fan_verdict.reason}")
-    return bundle
-
-
-def _run_check(args) -> tuple[dict, bool]:
-    bundle = _fan_checked(serialize.load_bundle(args.bundle))
+def _check(bundle: TVB) -> tuple[dict, bool]:
     verdict = is_vector_bundle(bundle)
-    report = {
-        "verb": "check",
-        "inputs": {"bundle": _input_digest(args.bundle)},
-        **serialize.bundle_verdict_to_obj(verdict),
-    }
-    return report, verdict.compatible
+    return serialize.bundle_verdict_to_obj(verdict), verdict.compatible
 
 
-def _run_endalg(args) -> tuple[dict, bool]:
-    bundle = _fan_checked(serialize.load_bundle(args.bundle))
+def _endalg(bundle: TVB) -> tuple[dict, bool]:
     alg = filtered_endos(bundle)
-    report = {
-        "verb": "endalg",
-        "inputs": {"bundle": _input_digest(args.bundle)},
+    return {
         "dim": alg.dim,
         "basis": serialize.algebra_basis_to_obj(alg, ["0"] * bundle.r),
         "commutative": is_commutative(alg),
@@ -208,47 +170,42 @@ def _run_endalg(args) -> tuple[dict, bool]:
             "dim counts the linear algebra of filtered endomorphisms; its "
             "invertible elements form the automorphism group, an open condition"
         ],
-    }
-    return report, True
+    }, True
 
 
-def _run_classify(args) -> tuple[dict, bool]:
-    bundle = _fan_checked(serialize.load_bundle(args.bundle))
+def _classify(bundle: TVB) -> tuple[dict, bool]:
     report = classify(bundle)
-    obj = {
-        "verb": "classify",
-        "inputs": {"bundle": _input_digest(args.bundle)},
-        **serialize.classification_to_obj(report),
-    }
-    return obj, report.bundle_status == "compatible"
+    return serialize.classification_to_obj(report), report.bundle_status == "compatible"
 
 
-def _run_validate_field(args) -> tuple[dict, bool]:
-    field = serialize.load_field(args.field)
-    _fan_checked(field.bundle, "field bundle")
+def _validate_field(field: ToricCoHiggsField) -> tuple[dict, bool]:
     verdict = validate_field(field.bundle, field.mats)
     integrability = verify_integrability(field)
-    report = {
-        "verb": "validate-field",
-        "inputs": {"field": _input_digest(args.field)},
+    if integrability.valid != verdict.commutation_ok:
+        raise InternalError("chart commutation disagrees with the direct check")
+    return {
         **serialize.field_verdict_to_obj(verdict),
         "integrability": serialize.integrability_to_obj(integrability),
-        "integrability_agrees": integrability.valid == verdict.commutation_ok,
-    }
-    if not report["integrability_agrees"]:
-        raise InternalError("chart commutation disagrees with the direct check")
-    return report, verdict.valid
+        "integrability_agrees": True,
+    }, verdict.valid
 
 
-def _run_chern(args) -> tuple[dict, bool]:
-    bundle = _fan_checked(serialize.load_bundle(args.bundle))
+def _chern(bundle: TVB) -> tuple[dict, bool]:
     verdict = is_vector_bundle(bundle)
-    report = {"verb": "chern", "inputs": {"bundle": _input_digest(args.bundle)}}
     if not verdict.compatible:
-        return {**report, **serialize.bundle_verdict_to_obj(verdict)}, False
-    report["compatible"] = True
-    report["chern"] = serialize.chern_to_obj(equivariant_chern_data(bundle, verdict))
-    return report, True
+        return serialize.bundle_verdict_to_obj(verdict), False
+    chern = serialize.chern_to_obj(equivariant_chern_data(bundle, verdict))
+    return {"compatible": True, "chern": chern}, True
+
+
+# verb -> (input argument, help, handler); the input is read by serialize.load_<argument>
+VERBS = {
+    "check": ("bundle", "compatibility of a bundle file", _check),
+    "endalg": ("bundle", "filtered endomorphism algebra of a bundle", _endalg),
+    "classify": ("bundle", "classify valid field tuples on a bundle", _classify),
+    "validate-field": ("field", "validate a field file", _validate_field),
+    "chern": ("bundle", "fixed-point character data of a bundle", _chern),
+}
 
 
 def _run_example(args) -> int:
@@ -261,21 +218,20 @@ def _run_example(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "check": _run_check,
-        "endalg": _run_endalg,
-        "classify": _run_classify,
-        "validate-field": _run_validate_field,
-        "chern": _run_chern,
-    }
     try:
         if args.verb == "example":
             return _run_example(args)
-        report, positive = handlers[args.verb](args)
-        _emit(report, args)
-        if args.strict and not positive:
-            return 3
-        return 0
+        arg, _, handler = VERBS[args.verb]
+        path = getattr(args, arg)
+        loaded = getattr(serialize, f"load_{arg}")(path)
+        bundle, what = (loaded.bundle, "field bundle") if arg == "field" else (loaded, "bundle")
+        fan_verdict = validate_fan(bundle.fan)
+        if not fan_verdict.ok:
+            raise SchemaError(f"{what} fan is invalid: {fan_verdict.reason}")
+        body, positive = handler(loaded)
+        digest = {"path": path, "sha256": serialize.file_digest(path)}
+        _emit({"verb": args.verb, "inputs": {arg: digest}, **body}, args)
+        return 3 if args.strict and not positive else 0
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,12 +12,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd
 
 from .linalg import _rref_rows
 
 RayVec = tuple[int, ...]
 Character = tuple[int, ...]
+
+
+def as_int(x, what: str) -> int:
+    """An int, or a Fraction that is one; anything else is refused, not truncated."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return int(x)
 
 
 def pairing(u: Character, rho: RayVec) -> int:
@@ -42,7 +52,7 @@ class Cone:
     ray_indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.ray_indices)
+        idx = tuple(as_int(i, "cone index") for i in self.ray_indices)
         if len(set(idx)) != len(idx):
             raise ValueError(f"duplicate ray indices in cone {idx}")
         object.__setattr__(self, "ray_indices", tuple(sorted(idx)))
@@ -52,8 +62,9 @@ class Cone:
 class Fan:
     """Lattice rank n, primitive rays, and smooth maximal cones.
 
-    Construction only normalizes types; mathematical validity is the job of
-    ``validate_fan`` so that broken inputs can be reported as verdicts.
+    Construction only checks and normalizes types (see ``as_int``);
+    mathematical validity is the job of ``validate_fan`` so that broken
+    inputs can be reported as verdicts.
     """
 
     n: int
@@ -63,7 +74,9 @@ class Fan:
     _reduced: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(tuple(int(a) for a in r) for r in self.rays))
+        object.__setattr__(self, "n", as_int(self.n, "lattice rank"))
+        rays = tuple(tuple(as_int(a, "ray entry") for a in r) for r in self.rays)
+        object.__setattr__(self, "rays", rays)
         object.__setattr__(
             self,
             "max_cones",

@@ -246,6 +246,42 @@ def test_twists_refuse_non_integral_fractions_and_strings(twists, bad):
         tensor_line(tangent_bundle(f), twists)
 
 
+def test_twist_mappings_refuse_keys_that_name_no_ray():
+    f = fan_pn(2)
+    message = re.escape("twist keys [99, -1] name no ray of the fan")
+    with pytest.raises(ValueError, match=message):
+        line_bundle(f, {99: 5, -1: 3})
+    with pytest.raises(ValueError, match=message):
+        tensor_line(tangent_bundle(f), {0: 1, 99: 5, -1: 3})
+
+
+# Each constructor that takes integers refuses what twists refuse, in the same words.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Fan(2.0, ((1, 0), (0, 1)), ((0, 1),)), "lattice rank 2.0"),
+        (lambda: Fan(2, ((1.5, 0), (0, 1)), ((0, 1),)), "ray entry 1.5"),
+        (lambda: Fan(2, ((1, 0), (0, "1")), ((0, 1),)), "ray entry '1'"),
+        (lambda: Cone((True, 2)), "cone index True"),
+        (lambda: Cone((0, Fraction(3, 2))), "cone index Fraction(3, 2)"),
+        (lambda: normalize_filtration(1, [(1.9, Subspace.zero(1))]), "threshold 1.9"),
+        (lambda: Filtration(1, ((False, Subspace.zero(1)),)), "threshold False"),
+    ],
+    ids=["fan-rank-float", "fan-ray-float", "fan-ray-string", "cone-bool", "cone-fraction",
+         "normalize-float", "filtration-bool"],
+)
+def test_integer_fields_refuse_floats_bools_and_fractions(build, message):
+    with pytest.raises(ValueError, match=re.escape(f"{message} is not an integer")):
+        build()
+
+
+def test_integer_fields_accept_integral_fractions():
+    f = Fan(2, ((Fraction(1), 0), (0, Fraction(2, 2))), (Cone((Fraction(0), 1)),))
+    assert f == Fan(2, ((1, 0), (0, 1)), ((0, 1),))
+    assert all(type(a) is int for ray in f.rays for a in ray)
+    assert normalize_filtration(1, [(Fraction(4, 2), Subspace.zero(1))]).thresholds == (2,)
+
+
 def test_twists_accept_integral_fractions():
     f = fan_pn(2)
     v = line_bundle(f, [Fraction(2), Fraction(-4, 2), 0])

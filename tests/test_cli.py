@@ -274,12 +274,35 @@ def test_json_output_is_byte_identical_across_runs(tmp_path, run_cli, make_fixtu
     assert run_cli(args, tmp_path).stdout == r1.stdout
 
 
-def test_output_flag_writes_json_report(tmp_path, run_cli, make_fixture):
-    path = make_fixture(["tangent", "--variety", "pn", "--dim", "2"], tmp_path)
+REPORT_VERBS = ["check", "endalg", "classify", "validate-field", "chern"]
+
+
+@pytest.mark.parametrize("verb", REPORT_VERBS)
+def test_output_flag_writes_json_report(tmp_path, run_cli, make_fixture, verb):
+    kind = "canonical" if verb == "validate-field" else "tangent"
+    path = make_fixture([kind, "--variety", "pn", "--dim", "2"], tmp_path)
     out = tmp_path / "report.json"
-    r = run_cli(["check", str(path), "--output", str(out)], tmp_path)
-    assert r.returncode == 0
-    assert json.loads(out.read_text())["compatible"] is True
+    r = run_cli([verb, str(path), "--output", str(out)], tmp_path)
+    assert r.returncode == 0, r.stderr
+    printed = run_cli([verb, str(path), "--format", "json"], tmp_path)
+    assert printed.returncode == 0
+    assert json.loads(printed.stdout)["verb"] == verb
+    assert out.read_bytes() == printed.stdout.encode()
+
+
+@pytest.mark.parametrize(
+    "verb, code",
+    [("check", 3), ("chern", 3), ("classify", 3), ("validate-field", 3), ("endalg", 0)],
+)
+def test_strict_exits_3_on_each_negative_verdict(tmp_path, run_cli, make_fixture, verb, code):
+    if verb == "validate-field":
+        path = tmp_path / "frac.field.json"  # its two matrices do not commute
+        path.write_text(FRACTIONAL_FIELD)
+    else:
+        path = make_fixture(["three-lines"], tmp_path)
+    assert run_cli([verb, str(path)], tmp_path).returncode == 0
+    r = run_cli([verb, str(path), "--strict"], tmp_path)
+    assert r.returncode == code, r.stderr
 
 
 def test_unknown_verb_exits_1(tmp_path, run_cli):
@@ -371,23 +394,25 @@ def test_internal_value_error_exits_2(tmp_path, run_cli, make_fixture, monkeypat
     assert "internal error: ValueError: broken invariant" in r.stderr
 
 
-def test_invalid_fan_in_bundle_exits_1(tmp_path, run_cli):
-    bad = tmp_path / "bad_fan.bundle.json"
-    bad.write_text(
-        json.dumps(
-            {
-                "fan": {"n": 2, "rays": [[2, 0], [0, 1]], "max_cones": [[0, 1]]},
-                "rank": 1,
-                "filtrations": [
-                    {"ray": 0, "steps": [{"j": 0, "basis": []}]},
-                    {"ray": 1, "steps": [{"j": 0, "basis": []}]},
-                ],
-            }
-        )
-    )
-    r = run_cli(["check", str(bad)], tmp_path)
+@pytest.mark.parametrize("verb", REPORT_VERBS)
+def test_invalid_fan_in_bundle_exits_1(tmp_path, run_cli, verb):
+    bundle = {
+        "fan": {"n": 2, "rays": [[2, 0], [0, 1]], "max_cones": [[0, 1]]},
+        "rank": 1,
+        "filtrations": [
+            {"ray": 0, "steps": [{"j": 0, "basis": []}]},
+            {"ray": 1, "steps": [{"j": 0, "basis": []}]},
+        ],
+    }
+    obj, what = bundle, "bundle"
+    if verb == "validate-field":
+        obj, what = {"bundle": bundle, "tuple": [[["0"]], [["0"]]]}, "field bundle"
+    bad = tmp_path / "bad_fan.json"
+    bad.write_text(json.dumps(obj))
+    r = run_cli([verb, str(bad)], tmp_path)
     assert r.returncode == 1
-    assert "primitive" in r.stderr
+    assert r.stdout == ""
+    assert r.stderr == f"error: {what} fan is invalid: ray 0 = (2, 0) is not primitive\n"
 
 
 @pytest.mark.xfail(strict=True, reason="overlapping cones are not detected yet (ROADMAP item 4)")

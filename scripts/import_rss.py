@@ -7,12 +7,16 @@ line of the package, run or not, costs ``peak_rss_mb``.  This script
 measures that cost alone.  One child interpreter runs under
 ``PYTHONDONTWRITEBYTECODE=1``, purges the package from ``sys.modules`` and
 imports ``toric_cohiggs.cli`` 21 times.  It prints the child's VmRSS before
-the first import and after the last, and its peak RSS (``ru_maxrss``), in MB.
-A second child does the same with a ``gc.collect()`` before each import and
-prints the three numbers again, prefixed ``collected_``: much of the first
-child's peak is garbage of earlier imports that the cyclic collector has not
-freed yet, so the pair separates the program's size from collector timing.
-VmRSS is read from ``/proc/self/status``, so this runs on Linux only.
+the first import and after the last, and two peaks, in MB: ``vmhwm_mb``
+(VmHWM, read in the same pass as the last VmRSS) and ``ru_maxrss_mb`` (what
+``bench/run.py`` reports as ``peak_rss_mb``).  Only VmHWM is sure to cover
+the final VmRSS: the kernel keeps ``ru_maxrss`` apart, and on Linux 6.18 it
+reads about 0.2 MB below both.  A second child does the same with
+a ``gc.collect()`` before each import and prints the four numbers again,
+prefixed ``collected_``: much of the first child's peak is garbage of
+earlier imports that the cyclic collector has not freed yet, so the pair
+separates the program's size from collector timing.  VmRSS and VmHWM are
+read from ``/proc/self/status``, so this runs on Linux only.
 
 Usage: python3 scripts/import_rss.py
 """
@@ -31,22 +35,21 @@ REPEATS = 21  # bench/run.py's SETUP_REPEATS
 CHILD = f"""if True:
     import gc, importlib, resource, sys
 
-    def vmrss_mb():
+    def status_mb():
         with open("/proc/self/status") as f:
-            for line in f:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1]) / 1024
+            fields = dict(line.split(":", 1) for line in f)
+        return [int(fields[k].split()[0]) / 1024 for k in ("VmRSS", "VmHWM")]
 
-    before = vmrss_mb()
+    before = status_mb()[0]
     for _ in range({REPEATS}):
         for name in [m for m in sys.modules if m.split(".")[0] == "toric_cohiggs"]:
             del sys.modules[name]
         if sys.argv[1] == "collect":
             gc.collect()
         importlib.import_module("toric_cohiggs.cli")
-    after = vmrss_mb()  # before the peak is read, so the peak covers it
+    after, hwm = status_mb()  # one read, so the peak covers the final VmRSS
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(before, after, peak)
+    print(before, after, hwm, peak)
 """
 
 
@@ -58,9 +61,10 @@ def main() -> int:
     for mode, prefix in (("plain", ""), ("collect", "collected_")):
         out = subprocess.run([sys.executable, "-c", CHILD, mode], env=env, capture_output=True,
                              text=True, check=True).stdout
-        before, after, peak = map(float, out.split())
+        before, after, hwm, peak = map(float, out.split())
         print(f"{prefix}vmrss_before_mb {before:.2f}")
         print(f"{prefix}vmrss_after_mb {after:.2f}")
+        print(f"{prefix}vmhwm_mb {hwm:.2f}")
         print(f"{prefix}ru_maxrss_mb {peak:.2f}")
     return 0
 

@@ -170,6 +170,7 @@ class TVB:
     _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "r", as_int(self.r, "rank"))
         object.__setattr__(self, "filts", tuple(self.filts))
         if len(self.filts) != len(self.fan.rays):
             raise ValueError(
@@ -200,7 +201,7 @@ def _per_ray_ints(fan: Fan, a) -> tuple[int, ...]:
     """Accept an int (constant), a sequence, or a mapping ray index -> int."""
     rays = range(len(fan.rays))
     if isinstance(a, Mapping):
-        stray = [k for k in a if k not in rays]
+        stray = [k for k in a if as_int(k, "twist key") not in rays]
         if stray:
             raise ValueError(f"twist keys {stray} name no ray of the fan")
         return tuple(as_int(a.get(i, 0), "twist") for i in rays)
@@ -358,14 +359,6 @@ def _greedy_pieces(v: TVB, sigma: Cone) -> dict[tuple[int, ...], Subspace]:
     return pieces
 
 
-def adapted_basis_oracle(v: TVB, sigma: Cone) -> OracleVerdict:
-    """Whether an adapted grading exists on one cone, by the forced-multiplicity count."""
-    total = sum(piece.dim for piece in _greedy_pieces(v, sigma).values())
-    if total == v.r:
-        return OracleVerdict(True)
-    return OracleVerdict(False, Incompatible(sigma, total, v.r).reason)
-
-
 def cone_grading(v: TVB, sigma: Cone) -> ConeGrading | Incompatible:
     """Grading of Q^r adapted to all ray filtrations of one maximal cone.
 
@@ -386,6 +379,14 @@ def cone_grading(v: TVB, sigma: Cone) -> ConeGrading | Incompatible:
     ]
     graded.sort(key=lambda p: p[0])
     return ConeGrading(sigma, tuple(graded))
+
+
+def adapted_basis_oracle(v: TVB, sigma: Cone) -> OracleVerdict:
+    """Whether an adapted grading exists on one cone: ``cone_grading``'s count."""
+    out = cone_grading(v, sigma)
+    if isinstance(out, Incompatible):
+        return OracleVerdict(False, out.reason)
+    return OracleVerdict(True)
 
 
 @dataclass(frozen=True)

@@ -82,12 +82,8 @@ class FieldVerdict:
 
 def validate_field(v: TVB, mats: Sequence[Mat]) -> FieldVerdict:
     """Direct check of filtration preservation and pairwise commutation."""
+    mats = ToricCoHiggsField(v, mats).mats  # checks the count and the shapes
     n = v.fan.n
-    if len(mats) != n:
-        raise ValueError(f"{len(mats)} matrices for lattice rank {n}")
-    for m in mats:
-        if m.nrows != v.r or m.ncols != v.r:
-            raise ValueError("field matrices must be rank x rank")
     filt_bad = tuple(
         (slot, ray_idx, j)
         for slot, a in enumerate(mats)

@@ -39,10 +39,7 @@ def pairing(u: Character, rho: RayVec) -> int:
 
 def is_primitive(v: RayVec) -> bool:
     """Nonzero and with coordinate gcd 1."""
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    return g == 1
+    return gcd(*v) == 1
 
 
 @dataclass(frozen=True)
@@ -207,7 +204,7 @@ def dual_basis(fan: Fan, sigma: Cone) -> tuple[Character, ...]:
     reduced, pivots = _reduced_ray_matrix(fan, sigma)
     if pivots != list(range(n)):
         raise ValueError("cone ray matrix is singular")
-    if any(row[k] != 1 for k, row in enumerate(reduced)):
+    if not _cone_det_unimodular(fan, sigma):
         raise ValueError("cone is not smooth: dual basis is not integral")
     # the rows hold M^{-1}, M with the rays as rows; u^k is its k-th column:
     # <u^k, rho_l> = (M M^{-1})_{lk} = delta

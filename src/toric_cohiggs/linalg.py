@@ -16,8 +16,8 @@ row of ints is taken as it is).  Gauss-Jordan proceeds by integer
 cross-multiplication with every updated row divided by its content, and each
 pivot row is divided by its content, signed so the pivot is positive, at the
 end.  Intersections, sums, complements, kernels and annihilators build and
-consume these integer rows directly; kernel vectors are read off the integer
-reduced rows by scaling each free column by the lcm of the pivots it meets.
+consume these integer rows directly; ``_kernel_of_rows`` reads every kernel
+off the reduced rows, each free column scaled by the lcm of the pivots it meets.
 The internal constructors ``Subspace._canonical`` and ``Mat._trusted`` store
 rows that are already canonical without checking them again; ``as_vec`` is
 the entry point for outside values.
@@ -155,7 +155,8 @@ class Mat:
         return cls._trusted(rows, ncols)
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("shape mismatch")
         return Mat._trusted(
             [[a + b if b else a for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
             self.ncols,
@@ -191,10 +192,6 @@ class Mat:
         if len(v) != nrows * ncols:
             raise ValueError("vector length does not factor as nrows*ncols")
         return cls._trusted([v[i * ncols:(i + 1) * ncols] for i in range(nrows)], ncols)
-
-    def _same_shape(self, other: "Mat") -> None:
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Mat) and self.ncols == other.ncols and self.rows == other.rows
@@ -502,7 +499,8 @@ def intersect(s: Subspace, t: Subspace) -> Subspace:
     The larger space's rows reduce each row t_j of the other to a residue
     that vanishes at the pivot columns; sum_j c_j t_j lies in the
     intersection iff sum_j c_j residue_j = 0, a system with one equation per
-    free column.  Its kernel gives the combinations that span s ∩ t.
+    free column.  Its kernel vectors are lifted to span s ∩ t as they come,
+    without the canonical form that ``_kernel_of_rows`` would add.
     """
     s._same_ambient(t)
     if s.is_zero() or t.is_zero():
@@ -564,9 +562,7 @@ def complement_within(s: Subspace, t: Subspace) -> Subspace:
 
 def annihilator(s: Subspace) -> Subspace:
     """Functionals f with f·v = 0 for every v in s (kernel of the basis matrix)."""
-    if s.is_zero():
-        return Subspace.full(s.ambient_dim)
-    return _span(s.ambient_dim, _null_vectors(s.rows, s.pivots, s.ambient_dim))
+    return _kernel_of_rows(s.rows, s.ambient_dim)
 
 
 def solve_linear(a: Mat, b: Sequence) -> Vec | None:

@@ -266,16 +266,12 @@ def fan_from_obj(obj) -> Fan:
 # ---------------------------------------------------------------------------
 # bundles
 
-def filtration_to_obj(f: Filtration) -> list[dict]:
-    return [{"j": j, "basis": subspace_to_obj(v)} for j, v in f.steps]
-
-
 def bundle_to_obj(v: TVB) -> dict:
     return {
         "fan": fan_to_obj(v.fan),
         "rank": v.r,
         "filtrations": [
-            {"ray": i, "steps": filtration_to_obj(f)}
+            {"ray": i, "steps": [{"j": j, "basis": subspace_to_obj(s)} for j, s in f.steps]}
             for i, f in enumerate(v.filts)
         ],
     }
@@ -307,7 +303,8 @@ def bundle_from_obj(obj, base_dir: Path | None = None) -> TVB:
         if ray in by_ray:
             raise SchemaError(f"two filtrations for ray {ray}")
         steps = []
-        if not (isinstance(fo["steps"], list) and fo["steps"]):
+        _expect(isinstance(fo["steps"], list), f"filtration 'steps' for ray {ray} must be a list")
+        if not fo["steps"]:
             raise SchemaError(f"filtration for ray {ray} needs at least one step")
         for so in fo["steps"]:
             _expect(isinstance(so, dict) and "j" in so and "basis" in so,

@@ -253,6 +253,10 @@ def test_twist_mappings_refuse_keys_that_name_no_ray():
         line_bundle(f, {99: 5, -1: 3})
     with pytest.raises(ValueError, match=message):
         tensor_line(tangent_bundle(f), {0: 1, 99: 5, -1: 3})
+    # a key equal to a ray index but not an integer names no ray either
+    for key in (True, 1.0):
+        with pytest.raises(ValueError, match=re.escape(f"twist key {key} is not an integer")):
+            line_bundle(f, {key: 5})
 
 
 # Each constructor that takes integers refuses what twists refuse, in the same words.
@@ -266,9 +270,11 @@ def test_twist_mappings_refuse_keys_that_name_no_ray():
         (lambda: Cone((0, Fraction(3, 2))), "cone index Fraction(3, 2)"),
         (lambda: normalize_filtration(1, [(1.9, Subspace.zero(1))]), "threshold 1.9"),
         (lambda: Filtration(1, ((False, Subspace.zero(1)),)), "threshold False"),
+        (lambda: TVB(fan_pn(1), 1.0, line_bundle(fan_pn(1)).filts), "rank 1.0"),
+        (lambda: TVB(fan_pn(1), True, line_bundle(fan_pn(1)).filts), "rank True"),
     ],
     ids=["fan-rank-float", "fan-ray-float", "fan-ray-string", "cone-bool", "cone-fraction",
-         "normalize-float", "filtration-bool"],
+         "normalize-float", "filtration-bool", "bundle-rank-float", "bundle-rank-bool"],
 )
 def test_integer_fields_refuse_floats_bools_and_fractions(build, message):
     with pytest.raises(ValueError, match=re.escape(f"{message} is not an integer")):

@@ -61,9 +61,9 @@ def test_zero_tuple_is_valid_everywhere(bundle_zoo):
 
 def test_validate_field_rejects_bad_shapes():
     v = tangent_bundle(fan_pn(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^1 matrices for lattice rank 2$"):
         validate_field(v, [Mat.identity(2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^field matrices must be rank x rank$"):
         validate_field(v, [Mat.identity(3), Mat.identity(3)])
 
 

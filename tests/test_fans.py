@@ -13,6 +13,7 @@ from toric_cohiggs import (
     pairing,
     validate_fan,
 )
+from toric_cohiggs.fans import is_primitive
 
 from reference import face_failure
 
@@ -46,6 +47,15 @@ def test_non_primitive_ray_fails():
     verdict = validate_fan(f)
     assert not verdict.ok
     assert "primitive" in verdict.reason
+
+
+@pytest.mark.parametrize(
+    "v, primitive",
+    [((), False), ((0, 0), False), ((2, 0), False), ((-2, 4), False),
+     ((-1, 2), True), ((3, -5), True), ((6, 10, 15), True)],
+)
+def test_is_primitive_on_literal_vectors(v, primitive):
+    assert is_primitive(v) is primitive
 
 
 def test_non_smooth_cone_fails():

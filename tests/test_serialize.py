@@ -151,6 +151,10 @@ SCHEMA_BREAKAGES = [
      "bad step basis for ray 0: entry 1.0 is not an integer or a 'p/q' string"),
     (lambda o: o["filtrations"][0]["steps"][0].update(basis=[["1/0", "0"]]),
      "bad step basis for ray 0: not a rational: '1/0'"),
+    (lambda o: o["filtrations"][0].update(steps={"j": 0}),
+     "filtration 'steps' for ray 0 must be a list"),
+    (lambda o: o["filtrations"][0].update(steps="0"),
+     "filtration 'steps' for ray 0 must be a list"),
 ]
 
 

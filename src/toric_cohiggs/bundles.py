@@ -54,7 +54,6 @@ or not, and the pieces, Σ m and the certificates are the full grid's.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -67,13 +66,13 @@ from .linalg import (
     intersect,
     subspace_sum,
 )
+from .records import Record
 
 # No rank cutoff: every verdict is decided.  The benchmark's run record reads it.
 DEFAULT_ORACLE_LIMIT = None
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(Record):
     """Decreasing filtration of Q^r with strictly increasing thresholds.
 
     Use ``normalize_filtration`` to build one from raw steps; the constructor
@@ -159,17 +158,16 @@ def normalize_filtration(r: int, raw_steps: Iterable[tuple[int, Subspace]]) -> F
     return Filtration._trusted(r, tuple(cleaned))
 
 
-@dataclass(frozen=True)
-class TVB:
+class TVB(Record):
     """A toric vector bundle: rank r plus one filtration per fan ray."""
 
     fan: Fan
     r: int
     filts: tuple[Filtration, ...]
-    # face key -> F, shared by every cone containing the face; see _value
-    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # face key -> F, shared by every cone containing the face; see _value
+        object.__setattr__(self, "_values", {})
         object.__setattr__(self, "r", as_int(self.r, "rank"))
         object.__setattr__(self, "filts", tuple(self.filts))
         if len(self.filts) != len(self.fan.rays):
@@ -263,8 +261,7 @@ def tensor_line(v: TVB, a=0) -> TVB:
     return TVB(v.fan, v.r, filts)
 
 
-@dataclass(frozen=True)
-class ConeGrading:
+class ConeGrading(Record):
     """Character grading of Q^r adapted to all filtrations of one cone.
 
     ``pieces`` maps characters (in global dual-lattice coordinates) to the
@@ -278,8 +275,7 @@ class ConeGrading:
         return tuple((u, v.dim) for u, v in self.pieces)
 
 
-@dataclass(frozen=True)
-class Incompatible:
+class Incompatible(Record):
     """An incompatible cone: its forced multiplicities sum to ``total``, not
     to the rank ``r`` (the pieces span Q^r, so total > r).  ``reason`` is the
     oracle's wording; ``certificate``, the reports', adds the pieces' dependence."""
@@ -300,8 +296,7 @@ class Incompatible:
         )
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(Record):
     compatible: bool
     reason: str | None = None
 
@@ -389,8 +384,7 @@ def adapted_basis_oracle(v: TVB, sigma: Cone) -> OracleVerdict:
     return OracleVerdict(True)
 
 
-@dataclass(frozen=True)
-class BundleVerdict:
+class BundleVerdict(Record):
     """Outcome of the per-cone compatibility check over a whole fan.
 
     ``status`` is "compatible" or "incompatible"; an incompatible verdict
@@ -418,8 +412,7 @@ def is_vector_bundle(v: TVB) -> BundleVerdict:
     return BundleVerdict("compatible", gradings=tuple(gradings))
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(Record):
     """Character multiset with multiplicities at each maximal cone.
 
     One entry per maximal cone, in fan order: (cone index, ((character,

@@ -18,8 +18,8 @@ combination of the integer matrices D·A_j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -43,10 +43,10 @@ from .endalg import (
 )
 from .fans import Character, Cone, Fan, dual_basis
 from .linalg import Mat, Subspace, _integer_commute, as_vec, commutes, preserves
+from .records import Record
 
 
-@dataclass(frozen=True)
-class ToricCoHiggsField:
+class ToricCoHiggsField(Record):
     """A candidate field: one matrix per lattice direction, validity separate."""
 
     bundle: TVB
@@ -62,9 +62,17 @@ class ToricCoHiggsField:
             if m.nrows != self.bundle.r or m.ncols != self.bundle.r:
                 raise ValueError("field matrices must be rank x rank")
 
+    @cached_property
+    def _scaled(self) -> tuple[int, list[list[list[int]]]]:
+        """(D, [D·A_1, ..., D·A_n]) with D the lcm of the denominators of the tuple."""
+        forms = [a._integer_form() for a in self.mats]
+        den = lcm(*(d for d, _ in forms))
+        return den, [
+            rows if d == den else [[den // d * x for x in row] for row in rows] for d, rows in forms
+        ]
 
-@dataclass(frozen=True)
-class FieldVerdict:
+
+class FieldVerdict(Record):
     """Validity report: every violated step and every failed commutator."""
 
     valid: bool
@@ -107,8 +115,7 @@ def field_from_vector_field(v: TVB, coeffs: Sequence) -> ToricCoHiggsField:
     return ToricCoHiggsField(v, mats)
 
 
-@dataclass(frozen=True)
-class ChartExpansion:
+class ChartExpansion(Record):
     """Chart matrices of a field on one maximal cone.
 
     Entry k holds the character of the k-th chart coordinate (the monomial
@@ -126,14 +133,11 @@ def _integer_charts(
     """(u^1..u^n, D, [D·M_1, ..., D·M_n]) for one maximal cone.
 
     D is the lcm of the denominators of the whole tuple, and D·M_k is the
-    integer combination Σ_j u^k_j D·A_j.
+    integer combination Σ_j u^k_j D·A_j; D and the D·A_j are the field's,
+    computed once for every cone.
     """
     duals = dual_basis(field.bundle.fan, sigma)
-    forms = [a._integer_form() for a in field.mats]
-    den = lcm(*(d for d, _ in forms))
-    scaled = [
-        rows if d == den else [[den // d * x for x in row] for row in rows] for d, rows in forms
-    ]
+    den, scaled = field._scaled
     # zip(*scaled) yields row i of every D·A_j, and zip(*rows) their (i, j) entries
     charts = [
         [[sum(map(mul, u, entries)) for entries in zip(*rows)] for rows in zip(*scaled)]
@@ -152,8 +156,7 @@ def chart_expansion(field: ToricCoHiggsField, sigma: Cone) -> ChartExpansion:
     return ChartExpansion(sigma, tuple(terms))
 
 
-@dataclass(frozen=True)
-class IntegrabilityVerdict:
+class IntegrabilityVerdict(Record):
     """Chart-by-chart commutation check over all maximal cones."""
 
     valid: bool
@@ -190,8 +193,7 @@ def canonical_pair(fan: Fan) -> tuple[TVB, tuple[Mat, ...]]:
     return bundle, mats
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     """Everything the classification computes for one bundle; its ``Mat``s are built on first use."""
 
     rank: int

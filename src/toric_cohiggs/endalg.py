@@ -25,7 +25,6 @@ never enforced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -41,6 +40,7 @@ from .linalg import (  # noqa: F401
     solve_linear,
     solve_mat_constraints,
 )
+from .records import Record
 
 _ZERO = Fraction(0)
 
@@ -48,8 +48,7 @@ _ZERO = Fraction(0)
 SparseForm = tuple[tuple[tuple[int, Fraction], ...], ...]
 
 
-@dataclass(frozen=True)
-class FilteredEndAlgebra:
+class FilteredEndAlgebra(Record):
     """{A : A preserves every filtration step} as its canonical subspace of Q^(r²)."""
 
     bundle: TVB
@@ -216,8 +215,7 @@ def structure_constants(alg: FilteredEndAlgebra) -> tuple[tuple[tuple[Fraction, 
     )
 
 
-@dataclass(frozen=True)
-class TupleVarietyEqs:
+class TupleVarietyEqs(Record):
     """Bilinear equations cutting out commuting n-tuples of algebra elements.
 
     For coordinate vectors x, y of two tuple entries, the commutator expands

@@ -11,11 +11,11 @@ cones meet in their common face: a cone inside another passes validation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .linalg import _rref_rows
+from .records import Record
 
 RayVec = tuple[int, ...]
 Character = tuple[int, ...]
@@ -42,8 +42,7 @@ def is_primitive(v: RayVec) -> bool:
     return gcd(*v) == 1
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     """A maximal cone, stored as the sorted indices of its rays in the fan."""
 
     ray_indices: tuple[int, ...]
@@ -55,8 +54,7 @@ class Cone:
         object.__setattr__(self, "ray_indices", tuple(sorted(idx)))
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     """Lattice rank n, primitive rays, and smooth maximal cones.
 
     Construction only checks and normalizes types (see ``as_int``);
@@ -67,10 +65,10 @@ class Fan:
     n: int
     rays: tuple[RayVec, ...]
     max_cones: tuple[Cone, ...]
-    # cone ray indices -> integer reduced row echelon form of [M | I]; see _reduced_ray_matrix
-    _reduced: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # cone ray indices -> integer reduced row echelon form of [M | I]; see _reduced_ray_matrix
+        object.__setattr__(self, "_reduced", {})
         object.__setattr__(self, "n", as_int(self.n, "lattice rank"))
         rays = tuple(tuple(as_int(a, "ray entry") for a in r) for r in self.rays)
         object.__setattr__(self, "rays", rays)
@@ -84,8 +82,7 @@ class Fan:
         return tuple(self.rays[i] for i in cone.ray_indices)
 
 
-@dataclass(frozen=True)
-class FanVerdict:
+class FanVerdict(Record):
     ok: bool
     reason: str | None = None
 

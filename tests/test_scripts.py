@@ -85,13 +85,14 @@ def test_import_rss_reports_memory_after_the_benchmark_set_up_imports(capsys):
     lines = dict(line.split() for line in capsys.readouterr().out.splitlines())
     repeats = re.search(r"^SETUP_REPEATS = (\d+)$", (ROOT / "bench" / "run.py").read_text(), re.M)
     assert lines.pop("imports") == repeats.group(1)
-    names = ("vmrss_before_mb", "vmrss_after_mb", "vmhwm_mb", "ru_maxrss_mb")
+    names = ("vmrss_before_mb", "vmrss_after_mb", "vmhwm_mb", "ru_maxrss_mb", "import_ms")
     assert sorted(lines) == sorted(names + tuple(f"collected_{k}" for k in names))
     for prefix in ("", "collected_"):
-        before, after, hwm, peak = (float(lines[prefix + k]) for k in names)
+        before, after, hwm, peak, ms = (float(lines[prefix + k]) for k in names)
         # ru_maxrss is a separate counter that can read below the final VmRSS
         assert 0 < before < after <= hwm
         assert before < peak
+        assert 0 < ms < 60_000
 
 
 def test_bench_pairs_summarizes_synthetic_runs():

@@ -44,8 +44,9 @@ def run_cases() -> list[dict]:
         _, mats = canonical_pair(fan)
         for shift in SHIFTS:
             bundle = direct_sum(tangent_bundle(fan), line_bundle(fan, shift))
-            verdict = validate_field(bundle, mats)
-            integ = verify_integrability(ToricCoHiggsField(bundle, mats))
+            field = ToricCoHiggsField(bundle, mats)
+            verdict = validate_field(field)
+            integ = verify_integrability(field)
             cases.append(
                 {
                     "variety": name,

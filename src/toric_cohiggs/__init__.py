@@ -19,7 +19,6 @@ from .bundles import (
     equivariant_chern_data,
     is_vector_bundle,
     line_bundle,
-    normalize_filtration,
     tangent_bundle,
     tensor_line,
 )

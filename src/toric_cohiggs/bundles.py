@@ -56,8 +56,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
-from typing import Iterable, Mapping
+from operator import itemgetter, mul
+from typing import Mapping
 
 from .fans import Character, Cone, Fan, as_int, dual_basis
 from .linalg import (
@@ -73,40 +73,41 @@ DEFAULT_ORACLE_LIMIT = None
 
 
 class Filtration(Record):
-    """Decreasing filtration of Q^r with strictly increasing thresholds.
+    """Decreasing filtration of Q^r, stored in canonical form.
 
-    Use ``normalize_filtration`` to build one from raw steps; the constructor
-    insists on already-normalized data.
+    The constructor takes raw (threshold, subspace) pairs, as ``Subspace``
+    takes raw vectors.  It sorts them by threshold, rejects non-monotone
+    data, drops steps whose subspace is the full space (implicit below the
+    first threshold), merges equal consecutive subspaces keeping the earliest
+    threshold, and appends the zero subspace one past the last raw threshold
+    when it is missing.  So the stored thresholds strictly increase, the stored
+    subspaces strictly decrease from a proper first one to zero, and building
+    a filtration from its own steps gives it back.
     """
 
     r: int
     steps: tuple[tuple[int, Subspace], ...]
 
     def __post_init__(self):
-        steps = tuple((as_int(j, "threshold"), v) for j, v in self.steps)
-        object.__setattr__(self, "steps", steps)
+        r = self.r
+        steps = sorted(((as_int(j, "threshold"), v) for j, v in self.steps), key=itemgetter(0))
         if not steps:
             raise ValueError("a filtration needs at least one step")
-        for _, v in steps:
-            if v.ambient_dim != self.r:
-                raise ValueError("step subspace in the wrong ambient dimension")
         for (j0, v0), (j1, v1) in zip(steps, steps[1:]):
-            if j1 <= j0:
-                raise ValueError("thresholds must be strictly increasing")
-            if not (v0.contains(v1) and v0 != v1):
-                raise ValueError("step subspaces must be strictly decreasing")
-        if not steps[-1][1].is_zero():
-            raise ValueError("the last step subspace must be zero")
-        if self.r > 0 and steps[0][1].is_full():
-            raise ValueError("the first step subspace must be proper")
-
-    @classmethod
-    def _trusted(cls, r: int, steps: tuple[tuple[int, Subspace], ...]) -> "Filtration":
-        """A filtration from normalized steps with int thresholds; nothing is checked."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "r", r)
-        object.__setattr__(f, "steps", steps)
-        return f
+            if j0 == j1 and v0 != v1:
+                raise ValueError(f"two different subspaces at threshold {j0}")
+            if not v0.contains(v1):
+                raise ValueError("subspaces are not decreasing along thresholds")
+        cleaned: list[tuple[int, Subspace]] = []
+        for j, v in steps:
+            if v.ambient_dim != r:
+                raise ValueError("step subspace in the wrong ambient dimension")
+            # the full space is implicit, unless it is also zero (r = 0)
+            if not (r and v.is_full()) and not (cleaned and cleaned[-1][1] == v):
+                cleaned.append((j, v))
+        if not cleaned or not cleaned[-1][1].is_zero():
+            cleaned.append((steps[-1][0] + 1, Subspace.zero(r)))
+        object.__setattr__(self, "steps", tuple(cleaned))
 
     @cached_property
     def thresholds(self) -> tuple[int, ...]:
@@ -121,41 +122,6 @@ class Filtration(Record):
 
     def shifted(self, delta: int) -> "Filtration":
         return Filtration(self.r, tuple((j + delta, v) for j, v in self.steps))
-
-
-def normalize_filtration(r: int, raw_steps: Iterable[tuple[int, Subspace]]) -> Filtration:
-    """Build a canonical Filtration from raw (threshold, subspace) pairs.
-
-    Sorts by threshold, rejects non-monotone data, drops steps whose subspace
-    equals the full space (implicit below the first threshold), merges equal
-    consecutive subspaces keeping the earliest threshold, and appends the zero
-    subspace one past the last threshold when missing.  The checks on the
-    sorted raw steps leave a cleaned sequence that is normalized, so it is
-    stored without the constructor's checks.
-    """
-    steps = sorted(((as_int(j, "threshold"), v) for j, v in raw_steps), key=lambda p: p[0])
-    for (j0, v0), (j1, v1) in zip(steps, steps[1:]):
-        if j0 == j1 and v0 != v1:
-            raise ValueError(f"two different subspaces at threshold {j0}")
-        if not v0.contains(v1):
-            raise ValueError("subspaces are not decreasing along thresholds")
-    if r == 0:
-        return Filtration._trusted(0, ((steps[0][0] if steps else 0, Subspace.zero(0)),))
-    cleaned: list[tuple[int, Subspace]] = []
-    for j, v in steps:
-        if v.ambient_dim != r:
-            raise ValueError("step subspace in the wrong ambient dimension")
-        if v.is_full():
-            continue
-        if cleaned and cleaned[-1][1] == v:
-            continue
-        cleaned.append((j, v))
-    if not cleaned:
-        base = steps[-1][0] + 1 if steps else 0
-        return Filtration._trusted(r, ((base, Subspace.zero(r)),))
-    if not cleaned[-1][1].is_zero():
-        cleaned.append((cleaned[-1][0] + 1, Subspace.zero(r)))
-    return Filtration._trusted(r, tuple(cleaned))
 
 
 class TVB(Record):
@@ -214,22 +180,16 @@ def _per_ray_ints(fan: Fan, a) -> tuple[int, ...]:
 def line_bundle(fan: Fan, a=0) -> TVB:
     """Rank-1 bundle whose filtration at ray rho is full up to a_rho, then zero."""
     twists = _per_ray_ints(fan, a)
-    filts = tuple(
-        normalize_filtration(1, [(t, Subspace.zero(1))]) for t in twists
-    )
+    filts = tuple(Filtration(1, [(t, Subspace.zero(1))]) for t in twists)
     return TVB(fan, 1, filts)
 
 
 def tangent_bundle(fan: Fan) -> TVB:
     """Rank-n bundle with filtration full ⊃ <rho> ⊃ 0 jumping at 0 and 1."""
     n = fan.n
-    filts = []
-    for ray in fan.rays:
-        line = Subspace(n, [ray])
-        filts.append(
-            normalize_filtration(n, [(0, line), (1, Subspace.zero(n))])
-        )
-    return TVB(fan, n, tuple(filts))
+    zero = Subspace.zero(n)
+    filts = tuple(Filtration(n, [(0, Subspace(n, [ray])), (1, zero)]) for ray in fan.rays)
+    return TVB(fan, n, filts)
 
 
 def _embed(v: Subspace, total: int, offset: int) -> list[tuple]:
@@ -250,7 +210,7 @@ def direct_sum(v: TVB, w: TVB) -> TVB:
         for j in thresholds:
             rows = _embed(fv.at(j + 1), r, 0) + _embed(fw.at(j + 1), r, v.r)
             steps.append((j, Subspace(r, rows)))
-        filts.append(normalize_filtration(r, steps))
+        filts.append(Filtration(r, steps))
     return TVB(v.fan, r, tuple(filts))
 
 

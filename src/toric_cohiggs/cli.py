@@ -17,9 +17,9 @@ from pathlib import Path
 from . import serialize
 from .bundles import (
     TVB,
+    Filtration,
     equivariant_chern_data,
     is_vector_bundle,
-    normalize_filtration,
     tangent_bundle,
 )
 from .cohiggs import (
@@ -87,9 +87,7 @@ def three_lines_bundle() -> TVB:
     """Rank 2 on the single cone spanned by e1,e2,e3; three distinct lines."""
     fan = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (Cone((0, 1, 2)),))
     lines = [Subspace(2, [(1, 0)]), Subspace(2, [(0, 1)]), Subspace(2, [(1, 1)])]
-    filts = tuple(
-        normalize_filtration(2, [(0, line), (1, Subspace.zero(2))]) for line in lines
-    )
+    filts = tuple(Filtration(2, [(0, line), (1, Subspace.zero(2))]) for line in lines)
     return TVB(fan, 2, filts)
 
 
@@ -179,7 +177,7 @@ def _classify(bundle: TVB) -> tuple[dict, bool]:
 
 
 def _validate_field(field: ToricCoHiggsField) -> tuple[dict, bool]:
-    verdict = validate_field(field.bundle, field.mats)
+    verdict = validate_field(field)
     integrability = verify_integrability(field)
     if integrability.valid != verdict.commutation_ok:
         raise InternalError("chart commutation disagrees with the direct check")

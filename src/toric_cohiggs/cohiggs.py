@@ -88,9 +88,9 @@ class FieldVerdict(Record):
         return not self.commutator_violations
 
 
-def validate_field(v: TVB, mats: Sequence[Mat]) -> FieldVerdict:
+def validate_field(field: ToricCoHiggsField) -> FieldVerdict:
     """Direct check of filtration preservation and pairwise commutation."""
-    mats = ToricCoHiggsField(v, mats).mats  # checks the count and the shapes
+    v, mats = field.bundle, field.mats
     n = v.fan.n
     filt_bad = tuple(
         (slot, ray_idx, j)

@@ -6,6 +6,11 @@ cones are supported: the rays of each maximal cone must form a basis of the
 lattice (determinant ±1).  Completeness of a fan is never required, so
 single-cone fixtures are legal.  Nor is it yet checked that two maximal
 cones meet in their common face: a cone inside another passes validation.
+
+A fan caches, per maximal cone, the integer elimination of the cone's ray
+matrix, which ``validate_fan`` reads for smoothness, and the dual basis
+computed from it, which ``dual_basis`` looks up by the cone's ray indices
+on every later call.
 """
 
 from __future__ import annotations
@@ -72,11 +77,10 @@ class Fan(Record):
         object.__setattr__(self, "n", as_int(self.n, "lattice rank"))
         rays = tuple(tuple(as_int(a, "ray entry") for a in r) for r in self.rays)
         object.__setattr__(self, "rays", rays)
-        object.__setattr__(
-            self,
-            "max_cones",
-            tuple(c if isinstance(c, Cone) else Cone(tuple(c)) for c in self.max_cones),
-        )
+        cones = tuple(c if isinstance(c, Cone) else Cone(tuple(c)) for c in self.max_cones)
+        object.__setattr__(self, "max_cones", cones)
+        # maximal cone ray indices -> dual basis, None until asked for; see dual_basis
+        object.__setattr__(self, "_duals", dict.fromkeys(c.ray_indices for c in cones))
 
     def cone_rays(self, cone: Cone) -> tuple[RayVec, ...]:
         return tuple(self.rays[i] for i in cone.ray_indices)
@@ -191,12 +195,18 @@ def dual_basis(fan: Fan, sigma: Cone) -> tuple[Character, ...]:
     """Characters u^1..u^n with <u^k, rho_l> = delta_kl for sigma's rays.
 
     The rays are taken in stored (sorted-index) order; entries are integers
-    because the ray matrix is unimodular.
+    because the ray matrix is unimodular.  Computed once per fan and cone,
+    from the elimination ``validate_fan`` reads; later calls look the cone
+    up by its ray indices.
     """
-    if sigma not in fan.max_cones:
+    key = sigma.ray_indices
+    got = fan._duals.get(key)
+    if got is not None:
+        return got
+    if key not in fan._duals:
         raise ValueError("cone is not a maximal cone of the fan")
     n = fan.n
-    if len(sigma.ray_indices) != n:
+    if len(key) != n:
         raise ValueError("cone is not full-dimensional")
     reduced, pivots = _reduced_ray_matrix(fan, sigma)
     if pivots != list(range(n)):
@@ -205,4 +215,5 @@ def dual_basis(fan: Fan, sigma: Cone) -> tuple[Character, ...]:
         raise ValueError("cone is not smooth: dual basis is not integral")
     # the rows hold M^{-1}, M with the rays as rows; u^k is its k-th column:
     # <u^k, rho_l> = (M M^{-1})_{lk} = delta
-    return tuple(tuple(row[n + k] for row in reduced) for k in range(n))
+    got = fan._duals[key] = tuple(tuple(row[n + k] for row in reduced) for k in range(n))
+    return got

@@ -41,7 +41,6 @@ from .bundles import (
     ChernData,
     Filtration,
     TVB,
-    normalize_filtration,
 )
 from .cohiggs import (
     ClassificationReport,
@@ -184,20 +183,14 @@ def mat_to_obj(m: Mat) -> list[list[str]]:
     return [[rat_str(a) if a else "0" for a in row] for row in m.rows]
 
 
-def mat_from_obj(obj, nrows: int | None = None, ncols: int | None = None) -> Mat:
+def mat_from_obj(obj) -> Mat:
     _expect(isinstance(obj, list) and all(isinstance(r, list) for r in obj),
             "matrix must be a list of rows")
     memo: dict = {}  # entries as the Fractions Mat keeps, so it converts none again
     try:
-        rows = [[_entry(a, memo, Fraction) for a in r] for r in obj]
-        m = Mat(rows, ncols=ncols if not rows else None)
+        return Mat([[_entry(a, memo, Fraction) for a in r] for r in obj])
     except ValueError as exc:
         raise SchemaError(f"bad matrix: {exc}") from exc
-    if nrows is not None and m.nrows != nrows:
-        raise SchemaError(f"matrix has {m.nrows} rows, expected {nrows}")
-    if ncols is not None and m.ncols != ncols:
-        raise SchemaError(f"matrix has {m.ncols} columns, expected {ncols}")
-    return m
 
 
 def _cells(row, d: int) -> list[str]:
@@ -320,7 +313,7 @@ def bundle_from_obj(obj, base_dir: Path | None = None) -> TVB:
                 raise SchemaError(f"bad step basis for ray {ray}: {exc}") from exc
             steps.append((so["j"], sub))
         try:
-            by_ray[ray] = normalize_filtration(rank, steps)
+            by_ray[ray] = Filtration(rank, steps)
         except ValueError as exc:
             raise SchemaError(f"bad filtration for ray {ray}: {exc}") from exc
     missing = sorted(set(range(len(fan.rays))) - set(by_ray))
@@ -350,10 +343,11 @@ def field_from_obj(obj, base_dir: Path | None = None) -> ToricCoHiggsField:
         bundle = bundle_from_obj(bundle_spec, base_dir=base_dir)
     mats_obj = obj["tuple"]
     _expect(isinstance(mats_obj, list), "tuple must be a list of matrices")
-    _expect(len(mats_obj) == bundle.fan.n,
-            f"tuple has {len(mats_obj)} matrices, lattice rank is {bundle.fan.n}")
-    mats = [mat_from_obj(mo, bundle.r, bundle.r) for mo in mats_obj]
-    return ToricCoHiggsField(bundle, tuple(mats))
+    mats = tuple(map(mat_from_obj, mats_obj))
+    try:
+        return ToricCoHiggsField(bundle, mats)  # checks the count and the shapes
+    except ValueError as exc:
+        raise SchemaError(f"bad field: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

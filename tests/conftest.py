@@ -11,6 +11,7 @@ import pytest
 from toric_cohiggs import (
     Cone,
     Fan,
+    Filtration,
     Mat,
     Subspace,
     TVB,
@@ -20,7 +21,6 @@ from toric_cohiggs import (
     fan_pn,
     fan_product,
     line_bundle,
-    normalize_filtration,
     tangent_bundle,
 )
 from toric_cohiggs.cli import three_lines_bundle  # noqa: F401  (re-exported to the tests)
@@ -117,7 +117,7 @@ def random_filtration(rng: random.Random, r: int, lo: int = -2, hi: int = 2):
     for j, d in zip(thresholds, dims):
         current = random_subspace_inside(rng, current, d)
         steps.append((j, current))
-    return normalize_filtration(r, steps)
+    return Filtration(r, steps)
 
 
 def random_bundle(rng: random.Random, fan: Fan, r: int) -> TVB:
@@ -159,7 +159,7 @@ def transform_bundle(v: TVB, g: Mat) -> TVB:
             (j, Subspace(v.r, [mul_vec(g, b) for b in sub.basis]))
             for j, sub in f.steps
         ]
-        filts.append(normalize_filtration(v.r, steps))
+        filts.append(Filtration(v.r, steps))
     return TVB(v.fan, v.r, tuple(filts))
 
 

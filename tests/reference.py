@@ -8,6 +8,9 @@ They live in one module so that no ``test_*`` module imports another:
   negation, transpose, matrix-vector products and commutators), with no
   zero skipping and no integer forms;
 - the ``Fraction`` Gauss-Jordan that integer elimination replaced;
+- the strict checks of a normalized filtration, which the constructor once
+  made on its input before it normalized raw steps itself, and the value of
+  raw steps at a level, read off the unsorted list;
 - the grading walk of the whole threshold grid in a sorted order;
 - the endomorphism algebra's coordinates and commutator forms from direct
   commutators, and the sparse forms evaluated on coordinate vectors;
@@ -166,6 +169,37 @@ def reference_rref_rows(rows):
         if lead == len(m):
             break
     return m, pivots
+
+
+# --------------------------------------------------------------------------
+# filtrations
+
+def assert_normalized(f) -> None:
+    """The stored steps of a filtration are in canonical form."""
+    steps = f.steps
+    assert steps, "a filtration needs at least one step"
+    for j, v in steps:
+        assert type(j) is int, f"threshold {j!r} is not an int"
+        assert v.ambient_dim == f.r, "step subspace in the wrong ambient dimension"
+    for (j0, v0), (j1, v1) in zip(steps, steps[1:]):
+        assert j1 > j0, "thresholds must be strictly increasing"
+        assert v0.contains(v1) and v0 != v1, "step subspaces must be strictly decreasing"
+    assert steps[-1][1].is_zero(), "the last step subspace must be zero"
+    assert f.r == 0 or not steps[0][1].is_full(), "the first step subspace must be proper"
+
+
+def raw_reading(r: int, raw, i: int) -> Subspace:
+    """The value at level i of consistent raw (threshold, subspace) steps.
+
+    The subspace of the largest threshold below i, the full space below every
+    threshold, and zero more than one level past the last threshold.
+    """
+    below = [(j, v) for j, v in raw if j < i]
+    if not below:
+        return fresh_full(r)
+    if i > max(j for j, _ in raw) + 1:
+        return Subspace(r, [])
+    return max(below, key=lambda p: p[0])[1]
 
 
 # --------------------------------------------------------------------------

@@ -150,7 +150,7 @@ def test_criterion_5_oracle_equivalence_500():
         v = random_bundle(rng, fan, r)
         mats = [random_matrix(rng, r) for _ in range(n)]
         field = ToricCoHiggsField(v, tuple(mats))
-        direct = validate_field(v, mats)
+        direct = validate_field(field)
         assert verify_integrability(field).valid == direct.commutation_ok
         for sigma in v.fan.max_cones:
             greedy = cone_grading(v, sigma)
@@ -183,7 +183,7 @@ def test_criterion_7_scalar_fields_valid():
     for name, v in {**_positive_suite(), "three_lines": three_lines_bundle()}.items():
         coeffs = list(range(1, v.fan.n + 1))
         field = field_from_vector_field(v, coeffs)
-        verdict = validate_field(v, field.mats)
+        verdict = validate_field(field)
         assert verdict.valid, name
         assert verify_integrability(field).valid, name
 
@@ -199,8 +199,9 @@ def test_criterion_8_canonical_pair_experiment():
         _, mats = canonical_pair(fan)
         for shift in (-1, 0, 1):
             bundle = direct_sum(tangent_bundle(fan), line_bundle(fan, shift))
-            verdict = validate_field(bundle, mats)
-            integ = verify_integrability(ToricCoHiggsField(bundle, mats))
+            field = ToricCoHiggsField(bundle, mats)
+            verdict = validate_field(field)
+            integ = verify_integrability(field)
             assert verdict.commutation_ok, (name, shift)
             assert integ.valid, (name, shift)
             recomputed.append(

@@ -23,7 +23,6 @@ from toric_cohiggs import (
     fan_product,
     is_vector_bundle,
     line_bundle,
-    normalize_filtration,
     subspace_sum,
     tangent_bundle,
     tensor_line,
@@ -35,10 +34,11 @@ from toric_cohiggs.fans import dual_basis
 from conftest import (
     random_bundle,
     random_filtration,
+    random_subspace_inside,
     standard_cone_fan,
     three_lines_bundle,
 )
-from reference import reference_pieces
+from reference import assert_normalized, raw_reading, reference_pieces
 
 
 def _line(*coords):
@@ -52,20 +52,20 @@ def test_normalize_drops_full_space_steps():
     # over r=1 the span of (1,) is the full space, so the first step is implicit
     full = Subspace.full(1)
     zero = Subspace.zero(1)
-    f = normalize_filtration(1, [(0, full), (1, zero)])
+    f = Filtration(1, [(0, full), (1, zero)])
     assert f.steps == ((1, zero),)
 
 
 def test_normalize_keeps_tp1_style_data():
     zero = Subspace.zero(1)
-    f = normalize_filtration(1, [(1, zero)])
+    f = Filtration(1, [(1, zero)])
     assert f.steps == ((1, zero),)
 
 
 def test_normalize_sorts_thresholds():
     line = Subspace(2, [(1, 0)])
     zero = Subspace.zero(2)
-    f = normalize_filtration(2, [(1, zero), (0, line)])
+    f = Filtration(2, [(1, zero), (0, line)])
     assert f.thresholds == (0, 1)
     assert f.steps[0] == (0, line)
 
@@ -73,13 +73,13 @@ def test_normalize_sorts_thresholds():
 def test_normalize_merges_equal_consecutive_subspaces():
     line = Subspace(2, [(1, 0)])
     zero = Subspace.zero(2)
-    f = normalize_filtration(2, [(0, line), (1, line), (2, zero)])
+    f = Filtration(2, [(0, line), (1, line), (2, zero)])
     assert f.steps == ((0, line), (2, zero))
 
 
 def test_normalize_appends_zero_step():
     line = Subspace(2, [(1, 0)])
-    f = normalize_filtration(2, [(0, line)])
+    f = Filtration(2, [(0, line)])
     assert f.steps == ((0, line), (1, Subspace.zero(2)))
 
 
@@ -87,14 +87,14 @@ def test_normalize_rejects_non_monotone():
     l1 = Subspace(2, [(1, 0)])
     l2 = Subspace(2, [(0, 1)])
     with pytest.raises(ValueError):
-        normalize_filtration(2, [(0, l1), (1, l2)])
+        Filtration(2, [(0, l1), (1, l2)])
     with pytest.raises(ValueError):
-        normalize_filtration(2, [(0, l1), (0, l2)])
+        Filtration(2, [(0, l1), (0, l2)])
 
 
 def test_eval_filtration_semantics():
     line = Subspace(2, [(1, 0)])
-    f = normalize_filtration(2, [(0, line), (1, Subspace.zero(2))])
+    f = Filtration(2, [(0, line), (1, Subspace.zero(2))])
     assert f.at(-10**6).is_full()
     assert f.at(0).is_full()
     assert f.at(1) == line
@@ -161,30 +161,67 @@ def test_tangent_filtration_value_at_one_is_ray_line(fan_zoo):
 
 def test_filtration_constructor_rejects_bad_data():
     line, other = Subspace(2, [(1, 0)]), Subspace(2, [(0, 1)])
-    zero, full = Subspace.zero(2), Subspace.full(2)
-    for steps, message in [
-        (((0, line),), "the last step subspace must be zero"),
-        ((), "a filtration needs at least one step"),
-        (((0, Subspace.zero(3)),), "step subspace in the wrong ambient dimension"),
-        (((1, line), (1, zero)), "thresholds must be strictly increasing"),
-        (((0, line), (1, other), (2, zero)), "step subspaces must be strictly decreasing"),
-        (((0, line), (1, line), (2, zero)), "step subspaces must be strictly decreasing"),
-        (((0, full), (1, zero)), "the first step subspace must be proper"),
+    zero = Subspace.zero(2)
+    for r, steps, message in [
+        (2, (), "a filtration needs at least one step"),
+        (2, ((0, Subspace.zero(3)),), "step subspace in the wrong ambient dimension"),
+        (0, ((0, zero),), "step subspace in the wrong ambient dimension"),
+        (2, ((1, line), (1, zero)), "two different subspaces at threshold 1"),
+        (2, ((0, line), (1, other), (2, zero)), "subspaces are not decreasing along thresholds"),
+        (2, ((1, zero), (0, other), (2, line)), "subspaces are not decreasing along thresholds"),
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
-            Filtration(2, steps)
+            Filtration(r, steps)
+
+
+def test_filtration_constructor_normalizes_what_the_strict_checks_refused():
+    line, zero, full = Subspace(2, [(1, 0)]), Subspace.zero(2), Subspace.full(2)
+    for steps, want in [
+        (((0, line),), ((0, line), (1, zero))),  # no zero step
+        (((1, zero), (0, line)), ((0, line), (1, zero))),  # thresholds out of order
+        (((0, line), (1, line), (2, zero)), ((0, line), (2, zero))),  # a repeated subspace
+        (((0, line), (1, line)), ((0, line), (2, zero))),  # line on (1, 2] as the step at 1 says
+        (((0, full), (1, zero)), ((1, zero),)),  # a full first step
+        (((3, full),), ((4, zero),)),  # nothing but the full space
+    ]:
+        f = Filtration(2, steps)
+        assert f.steps == want
+        assert_normalized(f)
+
+
+def _raw_steps(rng: random.Random, r: int) -> list:
+    """Consistent raw steps: a decreasing chain, possibly starting at the full
+    space, at distinct thresholds, with equal neighbours and repeated pairs,
+    in random order."""
+    current, raw = Subspace.full(r), []
+    for j in sorted(rng.sample(range(-4, 5), rng.randint(1, 5))):
+        if rng.random() < 0.6:
+            current = random_subspace_inside(rng, current, rng.randint(0, current.dim))
+        raw.append((j, current))
+    raw += [p for p in raw if rng.random() < 0.3]
+    rng.shuffle(raw)
+    return raw
 
 
 def test_normalized_filtrations_pass_the_constructor_checks():
     rng = random.Random(41)
-    for _ in range(200):
+    for trial in range(300):
+        r = trial % 5
+        raw = _raw_steps(rng, r)
+        f = Filtration(r, raw)
+        assert_normalized(f)
+        assert Filtration(r, f.steps) == f
+        assert Filtration(r, f.steps).steps == f.steps
+        lo, hi = min(j for j, _ in raw), max(j for j, _ in raw)
+        for i in range(lo - 2, hi + 4):
+            assert f.at(i) == raw_reading(r, raw, i), (raw, i)
+    for _ in range(100):  # a normalized filtration with full steps below and repeats
         r = rng.randint(1, 4)
         f = random_filtration(rng, r)
         raw = list(f.steps) + [(j, Subspace.full(r)) for j in range(-4, f.steps[0][0])]
-        raw += [(j, v) for j, v in f.steps if rng.random() < 0.5]  # repeated steps merge
+        raw += [(j, v) for j, v in f.steps if rng.random() < 0.5]
         rng.shuffle(raw)
-        g = normalize_filtration(r, raw)
-        assert g == Filtration(r, g.steps) == f
+        assert Filtration(r, raw) == f
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +305,7 @@ def test_twist_mappings_refuse_keys_that_name_no_ray():
         (lambda: Fan(2, ((1, 0), (0, "1")), ((0, 1),)), "ray entry '1'"),
         (lambda: Cone((True, 2)), "cone index True"),
         (lambda: Cone((0, Fraction(3, 2))), "cone index Fraction(3, 2)"),
-        (lambda: normalize_filtration(1, [(1.9, Subspace.zero(1))]), "threshold 1.9"),
+        (lambda: Filtration(1, [(1.9, Subspace.zero(1))]), "threshold 1.9"),
         (lambda: Filtration(1, ((False, Subspace.zero(1)),)), "threshold False"),
         (lambda: TVB(fan_pn(1), 1.0, line_bundle(fan_pn(1)).filts), "rank 1.0"),
         (lambda: TVB(fan_pn(1), True, line_bundle(fan_pn(1)).filts), "rank True"),
@@ -285,7 +322,7 @@ def test_integer_fields_accept_integral_fractions():
     f = Fan(2, ((Fraction(1), 0), (0, Fraction(2, 2))), (Cone((Fraction(0), 1)),))
     assert f == Fan(2, ((1, 0), (0, 1)), ((0, 1),))
     assert all(type(a) is int for ray in f.rays for a in ray)
-    assert normalize_filtration(1, [(Fraction(4, 2), Subspace.zero(1))]).thresholds == (2,)
+    assert Filtration(1, [(Fraction(4, 2), Subspace.zero(1))]).thresholds == (2,)
 
 
 def test_twists_accept_integral_fractions():
@@ -387,7 +424,7 @@ def test_three_lines_with_repeated_line_is_compatible():
     l = Subspace(2, [(1, 0)])
     l3 = Subspace(2, [(0, 1)])
     filts = tuple(
-        normalize_filtration(2, [(0, line), (1, Subspace.zero(2))])
+        Filtration(2, [(0, line), (1, Subspace.zero(2))])
         for line in (l, l, l3)
     )
     v = TVB(fan, 2, filts)
@@ -475,8 +512,8 @@ def test_embedded_three_lines_names_the_failing_cone():
     )
     lines = [Subspace(2, [(1, 0)]), Subspace(2, [(0, 1)]), Subspace(2, [(1, 1)])]
     zero = Subspace.zero(2)
-    filts = [normalize_filtration(2, [(0, line), (1, zero)]) for line in lines]
-    filts.append(normalize_filtration(2, [(0, zero)]))
+    filts = [Filtration(2, [(0, line), (1, zero)]) for line in lines]
+    filts.append(Filtration(2, [(0, zero)]))
     v = TVB(fan, 2, tuple(filts))
     verdict = is_vector_bundle(v)
     assert verdict.status == "incompatible"

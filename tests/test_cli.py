@@ -184,6 +184,40 @@ def test_validate_field_report_with_fractional_entries(tmp_path, run_cli):
     assert r.stderr == ""
 
 
+def test_validate_field_builds_its_field_once(tmp_path, run_cli, make_fixture, monkeypatch):
+    path = make_fixture(["canonical", "--variety", "pn", "--dim", "2"], tmp_path)
+    built = []
+    post_init = toric_cohiggs.ToricCoHiggsField.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(toric_cohiggs.ToricCoHiggsField, "__post_init__", counting_post_init)
+    r = run_cli(["validate-field", str(path), "--format", "json"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "mats, message",
+    [
+        ([[["1", "0"], ["0", "1"]]], "1 matrices for lattice rank 2"),
+        ([[["1", "0"], ["0", "1"]]] * 3, "3 matrices for lattice rank 2"),
+        ([[["1", "0"]], [["0", "1"]]], "field matrices must be rank x rank"),
+        ([[["1", "0", "0"]] * 3] * 2, "field matrices must be rank x rank"),
+    ],
+    ids=["too-few", "too-many", "one-row", "rank-3"],
+)
+def test_malformed_field_tuple_exits_1(tmp_path, run_cli, mats, message):
+    bundle = bundle_to_obj(toric_cohiggs.tangent_bundle(fan_pn(2)))
+    (tmp_path / "bad.field.json").write_text(json.dumps({"bundle": bundle, "tuple": mats}))
+    r = run_cli(["validate-field", "bad.field.json"], tmp_path)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == f"error: bad field: {message}\n"
+
+
 # A compatible rank-3 bundle on P^1 x P^2 adapted to one basis with fractional
 # and negative entries, given through non-canonical step bases (multiples, sums,
 # JSON integers next to "p/q" strings).  The reports were pinned before the

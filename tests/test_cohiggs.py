@@ -7,10 +7,11 @@ from fractions import Fraction as Q
 import pytest
 
 from toric_cohiggs import (
+    Filtration,
     Mat,
     Subspace,
-    ToricCoHiggsField,
     TVB,
+    ToricCoHiggsField,
     canonical_pair,
     chart_expansion,
     classify,
@@ -20,7 +21,6 @@ from toric_cohiggs import (
     field_from_vector_field,
     filtered_endos,
     line_bundle,
-    normalize_filtration,
     tangent_bundle,
     validate_field,
     verify_integrability,
@@ -40,13 +40,14 @@ def test_diagonal_tuples_are_valid_on_p1xp1():
     rng = random.Random(89)
     for _ in range(20):
         a, b, c, d = (Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4))
-        verdict = validate_field(v, [Mat([[a, 0], [0, b]]), Mat([[c, 0], [0, d]])])
+        field = ToricCoHiggsField(v, [Mat([[a, 0], [0, b]]), Mat([[c, 0], [0, d]])])
+        verdict = validate_field(field)
         assert verdict.valid
 
 
 def test_identity_with_shear_is_invalid_on_p2():
     v = tangent_bundle(fan_pn(2))
-    verdict = validate_field(v, [Mat.identity(2), Mat.elementary(2, 2, 0, 1)])
+    verdict = validate_field(ToricCoHiggsField(v, [Mat.identity(2), Mat.elementary(2, 2, 0, 1)]))
     assert not verdict.valid
     # the shear does not preserve the line of the second ray
     assert (1, 1, 0) in verdict.filtration_violations
@@ -56,15 +57,18 @@ def test_identity_with_shear_is_invalid_on_p2():
 def test_zero_tuple_is_valid_everywhere(bundle_zoo):
     for v in bundle_zoo.values():
         mats = [Mat.zero(v.r, v.r) for _ in range(v.fan.n)]
-        assert validate_field(v, mats).valid
+        assert validate_field(ToricCoHiggsField(v, mats)).valid
 
 
 def test_validate_field_rejects_bad_shapes():
+    # the field record is the one count and shape check: a bad field is never built
     v = tangent_bundle(fan_pn(2))
     with pytest.raises(ValueError, match="^1 matrices for lattice rank 2$"):
-        validate_field(v, [Mat.identity(2)])
+        ToricCoHiggsField(v, [Mat.identity(2)])
     with pytest.raises(ValueError, match="^field matrices must be rank x rank$"):
-        validate_field(v, [Mat.identity(3), Mat.identity(3)])
+        ToricCoHiggsField(v, [Mat.identity(3), Mat.identity(3)])
+    with pytest.raises(ValueError, match="^field matrices must be rank x rank$"):
+        ToricCoHiggsField(v, [Mat([[1, 0]]), Mat([[0, 1]])])
 
 
 # ---------------------------------------------------------------------------
@@ -73,13 +77,13 @@ def test_validate_field_rejects_bad_shapes():
 def test_zero_vector_field_is_valid():
     v = tangent_bundle(fan_pn(2))
     field = field_from_vector_field(v, [0, 0])
-    assert validate_field(v, field.mats).valid
+    assert validate_field(field).valid
 
 
 def test_p3_scalar_field_valid():
     v = tangent_bundle(fan_pn(3))
     field = field_from_vector_field(v, [1, 2, 3])
-    assert validate_field(v, field.mats).valid
+    assert validate_field(field).valid
     assert field.mats[2] == Mat.identity(3).scale(3)
 
 
@@ -90,7 +94,7 @@ def test_scalar_fields_valid_on_random_bundles():
         v = random_bundle(rng, standard_cone_fan(n), rng.randint(1, 3))
         coeffs = [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
         field = field_from_vector_field(v, coeffs)
-        assert validate_field(v, field.mats).valid
+        assert validate_field(field).valid
 
 
 def test_weighted_sections_have_no_valid_constant_tuple():
@@ -107,7 +111,7 @@ def test_weighted_sections_have_no_valid_constant_tuple():
                     continue
                 mats = [Mat.zero(n, n) for _ in range(n)]
                 mats[0] = Mat.elementary(n, n, i, j)
-                verdict = validate_field(v, mats)
+                verdict = validate_field(ToricCoHiggsField(v, mats))
                 assert not verdict.valid
                 assert verdict.filtration_violations
 
@@ -122,7 +126,7 @@ def test_pn_valid_tuples_are_exactly_scalars():
         rng = random.Random(101)
         for _ in range(20):
             mats = [random_matrix(rng, n) for _ in range(n)]
-            verdict = validate_field(v, mats)
+            verdict = validate_field(ToricCoHiggsField(v, mats))
             scalars = all(
                 m == Mat.identity(n).scale(m.rows[0][0]) for m in mats
             )
@@ -176,7 +180,7 @@ def test_chart_matrices_recover_the_tuple():
             fan,
             r,
             tuple(
-                normalize_filtration(r, [(0, Subspace.zero(r))]) for _ in fan.rays
+                Filtration(r, [(0, Subspace.zero(r))]) for _ in fan.rays
             ),
         )
         mats = tuple(random_matrix(rng, r) for _ in range(fan.n))
@@ -258,7 +262,7 @@ def test_shear_pair_fails_on_standard_chart():
     v = TVB(
         fan,
         2,
-        tuple(normalize_filtration(2, [(0, Subspace.zero(2))]) for _ in fan.rays),
+        tuple(Filtration(2, [(0, Subspace.zero(2))]) for _ in fan.rays),
     )
     field = ToricCoHiggsField(
         v, (Mat.elementary(2, 2, 0, 1), Mat.elementary(2, 2, 1, 0))
@@ -277,7 +281,7 @@ def test_integrability_agrees_with_direct_commutation():
         v = random_bundle(rng, fan, r)
         mats = [random_matrix(rng, r) for _ in range(n)]
         field = ToricCoHiggsField(v, tuple(mats))
-        direct = validate_field(v, mats)
+        direct = validate_field(field)
         assert verify_integrability(field).valid == direct.commutation_ok
 
 
@@ -342,7 +346,7 @@ def test_classify_noncommutative_emits_equations():
     v = TVB(
         fan,
         2,
-        tuple(normalize_filtration(2, [(t, Subspace.zero(2))]) for t in (0, 1)),
+        tuple(Filtration(2, [(t, Subspace.zero(2))]) for t in (0, 1)),
     )
     rep = classify(v)
     assert not rep.commutative

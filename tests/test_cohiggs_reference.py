@@ -266,7 +266,7 @@ def test_verdicts_and_charts_match_reference_on_random_bundles(fan_name):
             v = random_bundle(rng, fan, rng.randint(2, 3))
         mats = random_tuple(rng, v, kind)
         field = ToricCoHiggsField(v, mats)
-        verdict = validate_field(v, mats)
+        verdict = validate_field(field)
         assert verdict == reference_validate_field(v, mats)
         integrability = verify_integrability(field)
         assert integrability == reference_verify_integrability(field)

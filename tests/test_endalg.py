@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from toric_cohiggs import (
+    Filtration,
     Mat,
     Subspace,
     TVB,
@@ -15,7 +16,6 @@ from toric_cohiggs import (
     filtered_endos,
     is_commutative,
     line_bundle,
-    normalize_filtration,
     structure_constants,
     tangent_bundle,
     tuple_variety_equations,
@@ -57,7 +57,7 @@ def test_full_and_zero_filtration_values_constrain_nothing():
     # rank 3 bundle whose filtrations only take the values full and zero
     fan = standard_cone_fan(2)
     filts = tuple(
-        normalize_filtration(3, [(t, Subspace.zero(3))]) for t in (0, 2)
+        Filtration(3, [(t, Subspace.zero(3))]) for t in (0, 2)
     )
     v = TVB(fan, 3, filts)
     alg = filtered_endos(v)
@@ -68,7 +68,7 @@ def test_full_and_zero_filtration_values_constrain_nothing():
 def test_flag_filtration_gives_upper_triangular():
     fan = standard_cone_fan(1)
     line = Subspace(2, [(1, 0)])
-    filts = (normalize_filtration(2, [(0, line), (1, Subspace.zero(2))]),)
+    filts = (Filtration(2, [(0, line), (1, Subspace.zero(2))]),)
     alg = filtered_endos(TVB(fan, 2, filts))
     assert alg.dim == 3
     for a in alg.basis:
@@ -105,7 +105,7 @@ def test_center_of_commutative_algebra_is_everything():
 
 def test_center_of_full_end_is_scalars():
     fan = standard_cone_fan(1)
-    filts = (normalize_filtration(2, [(0, Subspace.zero(2))]),)
+    filts = (Filtration(2, [(0, Subspace.zero(2))]),)
     alg = filtered_endos(TVB(fan, 2, filts))
     assert alg.dim == 4
     assert center_elements(alg) == [Mat.identity(2)]
@@ -164,7 +164,7 @@ def test_tuple_equations_empty_for_commutative_and_n1():
         TVB(
             standard_cone_fan(1),
             2,
-            (normalize_filtration(2, [(0, Subspace.zero(2))]),),
+            (Filtration(2, [(0, Subspace.zero(2))]),),
         )
     )
     assert tuple_variety_equations(full, 1).forms == ()
@@ -173,7 +173,7 @@ def test_tuple_equations_empty_for_commutative_and_n1():
 def test_tuple_equations_of_length_zero_and_negative_length():
     # the point fan has n = 0: no slot pairs, so no forms, even for End(Q^2)
     full = filtered_endos(
-        TVB(standard_cone_fan(1), 2, (normalize_filtration(2, [(0, Subspace.zero(2))]),))
+        TVB(standard_cone_fan(1), 2, (Filtration(2, [(0, Subspace.zero(2))]),))
     )
     assert not is_commutative(full)
     eqs = tuple_variety_equations(full, 0)
@@ -185,7 +185,7 @@ def test_tuple_equations_of_length_zero_and_negative_length():
 def test_tuple_equations_match_direct_commutators_on_full_end():
     fan = standard_cone_fan(2)
     filts = tuple(
-        normalize_filtration(2, [(t, Subspace.zero(2))]) for t in (0, 1)
+        Filtration(2, [(t, Subspace.zero(2))]) for t in (0, 1)
     )
     alg = filtered_endos(TVB(fan, 2, filts))
     assert alg.dim == 4

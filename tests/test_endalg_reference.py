@@ -23,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toric_cohiggs import (
-    TVB,
+    Filtration,
     Mat,
     Subspace,
+    TVB,
     center,
     classify,
     direct_sum,
@@ -34,7 +35,6 @@ from toric_cohiggs import (
     filtered_endos,
     is_commutative,
     line_bundle,
-    normalize_filtration,
     structure_constants,
     tangent_bundle,
     tuple_variety_equations,
@@ -251,7 +251,7 @@ def test_pinned_center_with_a_pinned_coordinate_in_a_longer_row():
     one-entry rows that also appear in rows with more entries."""
     plane = Subspace(3, [(2, 0, -1), (0, 2, 3)])
     line = Subspace(3, [(1, -1, -2)])
-    flag = normalize_filtration(3, [(-2, plane), (-1, line), (1, Subspace.zero(3))])
+    flag = Filtration(3, [(-2, plane), (-1, line), (1, Subspace.zero(3))])
     alg = filtered_endos(TVB(standard_cone_fan(1), 3, (flag,)))
     assert alg.dim == 6 and max(alg._scales[0]) == 4
     assert pinned_in_a_longer_row(alg)

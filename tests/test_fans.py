@@ -159,6 +159,24 @@ def test_dual_basis_pairing_identity_on_zoo(fan_zoo):
                     assert pairing(u, rho) == int(k == l)
 
 
+def test_warm_dual_basis_compares_no_cones(monkeypatch):
+    # the first call per cone computes the basis; later calls look it up by the
+    # cone's ray indices, without scanning the maximal cones for an equal one
+    f = fan_pn(3)
+    first = [dual_basis(f, sigma) for sigma in f.max_cones]
+    compared = []
+    eq = Cone.__eq__
+
+    def counting_eq(self, other):
+        compared.append((self, other))
+        return eq(self, other)
+
+    monkeypatch.setattr(Cone, "__eq__", counting_eq)
+    for sigma, duals in zip(f.max_cones, first):
+        assert dual_basis(f, Cone(sigma.ray_indices)) is duals
+    assert compared == []
+
+
 def test_dual_basis_rejects_foreign_cone():
     f = fan_pn(2)
     with pytest.raises(ValueError):

@@ -20,10 +20,11 @@ import random
 import pytest
 
 from toric_cohiggs import (
-    TVB,
     ConeGrading,
+    Filtration,
     Incompatible,
     Subspace,
+    TVB,
     adapted_basis_oracle,
     cone_grading,
     direct_sum,
@@ -32,7 +33,6 @@ from toric_cohiggs import (
     fan_product,
     is_vector_bundle,
     line_bundle,
-    normalize_filtration,
     tangent_bundle,
 )
 from toric_cohiggs.bundles import OracleVerdict, _greedy_pieces
@@ -215,7 +215,7 @@ def adapted_bundle(rng, fan, r):
             (t, Subspace(r, [b for b, tb in zip(basis, levels) if tb > t]))
             for t in sorted(set(levels))
         ]
-        filts.append(normalize_filtration(r, steps))
+        filts.append(Filtration(r, steps))
     return TVB(fan, r, tuple(filts))
 
 

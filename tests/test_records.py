@@ -53,7 +53,7 @@ def _samples() -> dict[type, Record]:
         Incompatible(cone, 3, 2), adapted_basis_oracle(bundle, cone),
         OracleVerdict(False, "forced multiplicities sum to 3, expected rank 2"),
         is_vector_bundle(bundle), equivariant_chern_data(bundle), field,
-        validate_field(bundle, mats), chart_expansion(field, cone), verify_integrability(field),
+        validate_field(field), chart_expansion(field, cone), verify_integrability(field),
         classify(lines), alg, tuple_variety_equations(alg, 2),
     ]
     return {type(x): x for x in found}

@@ -7,10 +7,11 @@ lattice (determinant ±1).  Completeness of a fan is never required, so
 single-cone fixtures are legal.  Nor is it yet checked that two maximal
 cones meet in their common face: a cone inside another passes validation.
 
-A fan caches, per maximal cone, the integer elimination of the cone's ray
-matrix, which ``validate_fan`` reads for smoothness, and the dual basis
-computed from it, which ``dual_basis`` looks up by the cone's ray indices
-on every later call.
+Each maximal cone is judged once per fan, by ``_cone_duals``: one integer
+elimination of [M | I], M the cone's ray matrix, gives its dual basis or the
+text of its first fault.  The fan keeps the answer, keyed by the cone's ray
+indices; ``validate_fan`` reports the fault and ``dual_basis`` returns the
+basis or raises the fault.
 """
 
 from __future__ import annotations
@@ -72,14 +73,12 @@ class Fan(Record):
     max_cones: tuple[Cone, ...]
 
     def __post_init__(self):
-        # cone ray indices -> integer reduced row echelon form of [M | I]; see _reduced_ray_matrix
-        object.__setattr__(self, "_reduced", {})
         object.__setattr__(self, "n", as_int(self.n, "lattice rank"))
         rays = tuple(tuple(as_int(a, "ray entry") for a in r) for r in self.rays)
         object.__setattr__(self, "rays", rays)
         cones = tuple(c if isinstance(c, Cone) else Cone(tuple(c)) for c in self.max_cones)
         object.__setattr__(self, "max_cones", cones)
-        # maximal cone ray indices -> dual basis, None until asked for; see dual_basis
+        # maximal cone ray indices -> dual basis or fault text, None until judged; see _cone_duals
         object.__setattr__(self, "_duals", dict.fromkeys(c.ray_indices for c in cones))
 
     def cone_rays(self, cone: Cone) -> tuple[RayVec, ...]:
@@ -91,32 +90,40 @@ class FanVerdict(Record):
     reason: str | None = None
 
 
-def _reduced_ray_matrix(fan: Fan, cone: Cone) -> tuple[list[list[int]], list[int]]:
-    """Integer reduced row echelon form of [M | I], M the cone's ray matrix.
-
-    Computed once per fan and cone.  When M is invertible the rows are the
-    primitive integer multiples of [I | M^-1], and M^-1 is integral iff every
-    pivot is 1; for an integer matrix that holds iff its determinant is ±1.
+def _cone_duals(fan: Fan, cone: Cone) -> tuple[Character, ...] | str:
+    """The dual basis of a maximal cone of fan, or the text of its first fault:
+    a ray index out of range, a ray count other than n, or a ray matrix M that
+    is not unimodular.  For invertible M the integer elimination of [M | I]
+    gives the primitive multiples of [I | M^-1], and M^-1 is integral iff
+    every pivot is 1, iff det M = ±1.  Judged once per fan and cone.
     """
-    got = fan._reduced.get(cone.ray_indices)
-    if got is None:
-        n = len(cone.ray_indices)
-        aug = [list(fan.rays[i]) + [int(k == j) for j in range(n)]
-               for k, i in enumerate(cone.ray_indices)]
-        got = fan._reduced[cone.ray_indices] = _rref_rows(aug)
+    key, n = cone.ray_indices, fan.n
+    got = fan._duals[key]
+    if got is not None:
+        return got
+    if any(i < 0 or i >= len(fan.rays) for i in key):
+        got = "has a ray index out of range"
+    elif len(key) != n:
+        got = f"has {len(key)} rays, expected {n}"
+    else:
+        reduced, pivots = _rref_rows(
+            [list(fan.rays[i]) + [int(k == j) for j in range(n)] for k, i in enumerate(key)])
+        if pivots == list(range(n)) and all(row[k] == 1 for k, row in enumerate(reduced)):
+            # the rows hold M^{-1}, M with the rays as rows; u^k is its k-th column:
+            # <u^k, rho_l> = (M M^{-1})_{lk} = delta
+            got = tuple(tuple(row[n + k] for row in reduced) for k in range(n))
+        else:
+            got = "is not smooth (determinant not ±1)"
+    fan._duals[key] = got
     return got
-
-
-def _cone_det_unimodular(fan: Fan, cone: Cone) -> bool:
-    reduced, pivots = _reduced_ray_matrix(fan, cone)
-    n = len(cone.ray_indices)
-    return pivots == list(range(n)) and all(row[k] == 1 for k, row in enumerate(reduced))
 
 
 def validate_fan(fan: Fan) -> FanVerdict:
     """Check the structural fan invariants, reporting the first failure.
 
-    Whether two maximal cones meet in their common face is not checked.
+    Each maximal cone's fault comes from ``_cone_duals``, which keeps the
+    dual basis of a sound cone for ``dual_basis``.  Whether two maximal
+    cones meet in their common face is not checked.
     """
     if fan.n < 0:
         return FanVerdict(False, "negative lattice rank")
@@ -136,15 +143,9 @@ def validate_fan(fan: Fan) -> FanVerdict:
         if cone.ray_indices in seen:
             return FanVerdict(False, f"duplicate maximal cone {cone.ray_indices}")
         seen.add(cone.ray_indices)
-        if any(i < 0 or i >= len(fan.rays) for i in cone.ray_indices):
-            return FanVerdict(False, f"cone {ci} has a ray index out of range")
-        if len(cone.ray_indices) != fan.n:
-            return FanVerdict(
-                False,
-                f"cone {ci} has {len(cone.ray_indices)} rays, expected {fan.n}",
-            )
-        if not _cone_det_unimodular(fan, cone):
-            return FanVerdict(False, f"cone {ci} is not smooth (determinant not ±1)")
+        fault = _cone_duals(fan, cone)
+        if type(fault) is str:
+            return FanVerdict(False, f"cone {ci} {fault}")
     used = {i for cone in fan.max_cones for i in cone.ray_indices}
     missing = sorted(set(range(len(fan.rays))) - used)
     if missing:
@@ -195,25 +196,12 @@ def dual_basis(fan: Fan, sigma: Cone) -> tuple[Character, ...]:
     """Characters u^1..u^n with <u^k, rho_l> = delta_kl for sigma's rays.
 
     The rays are taken in stored (sorted-index) order; entries are integers
-    because the ray matrix is unimodular.  Computed once per fan and cone,
-    from the elimination ``validate_fan`` reads; later calls look the cone
-    up by its ray indices.
+    because the ray matrix is unimodular.  The basis, or the fault raised as
+    ``ValueError``, is ``_cone_duals``'s, which ``validate_fan`` reads too.
     """
-    key = sigma.ray_indices
-    got = fan._duals.get(key)
-    if got is not None:
-        return got
-    if key not in fan._duals:
+    if sigma.ray_indices not in fan._duals:
         raise ValueError("cone is not a maximal cone of the fan")
-    n = fan.n
-    if len(key) != n:
-        raise ValueError("cone is not full-dimensional")
-    reduced, pivots = _reduced_ray_matrix(fan, sigma)
-    if pivots != list(range(n)):
-        raise ValueError("cone ray matrix is singular")
-    if not _cone_det_unimodular(fan, sigma):
-        raise ValueError("cone is not smooth: dual basis is not integral")
-    # the rows hold M^{-1}, M with the rays as rows; u^k is its k-th column:
-    # <u^k, rho_l> = (M M^{-1})_{lk} = delta
-    got = fan._duals[key] = tuple(tuple(row[n + k] for row in reduced) for k in range(n))
+    got = _cone_duals(fan, sigma)
+    if type(got) is str:
+        raise ValueError(f"cone {got}")
     return got

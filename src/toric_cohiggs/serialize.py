@@ -274,11 +274,7 @@ def bundle_from_obj(obj, base_dir: Path | None = None) -> TVB:
     _expect(isinstance(obj, dict), "bundle must be an object")
     for key in ("fan", "rank", "filtrations"):
         _expect(key in obj, f"bundle object lacks key {key!r}")
-    fan_spec = obj["fan"]
-    if isinstance(fan_spec, str):
-        fan = fan_from_obj(_load_json(_resolve(fan_spec, base_dir)))
-    else:
-        fan = fan_from_obj(fan_spec)
+    fan = fan_from_obj(_inline_or_file(obj["fan"], base_dir)[0])
     rank = obj["rank"]
     _expect(_is_int(rank) and rank >= 1, "'rank' must be a positive integer")
     filt_objs = obj["filtrations"]
@@ -297,8 +293,6 @@ def bundle_from_obj(obj, base_dir: Path | None = None) -> TVB:
             raise SchemaError(f"two filtrations for ray {ray}")
         steps = []
         _expect(isinstance(fo["steps"], list), f"filtration 'steps' for ray {ray} must be a list")
-        if not fo["steps"]:
-            raise SchemaError(f"filtration for ray {ray} needs at least one step")
         for so in fo["steps"]:
             _expect(isinstance(so, dict) and "j" in so and "basis" in so,
                     "each step needs 'j' and 'basis'")
@@ -335,12 +329,7 @@ def field_from_obj(obj, base_dir: Path | None = None) -> ToricCoHiggsField:
     _expect(isinstance(obj, dict), "field must be an object")
     for key in ("bundle", "tuple"):
         _expect(key in obj, f"field object lacks key {key!r}")
-    bundle_spec = obj["bundle"]
-    if isinstance(bundle_spec, str):
-        path = _resolve(bundle_spec, base_dir)
-        bundle = bundle_from_obj(_load_json(path), base_dir=path.parent)
-    else:
-        bundle = bundle_from_obj(bundle_spec, base_dir=base_dir)
+    bundle = bundle_from_obj(*_inline_or_file(obj["bundle"], base_dir))
     mats_obj = obj["tuple"]
     _expect(isinstance(mats_obj, list), "tuple must be a list of matrices")
     mats = tuple(map(mat_from_obj, mats_obj))
@@ -353,11 +342,15 @@ def field_from_obj(obj, base_dir: Path | None = None) -> ToricCoHiggsField:
 # ---------------------------------------------------------------------------
 # file plumbing
 
-def _resolve(path_str: str, base_dir: Path | None) -> Path:
-    p = Path(path_str)
-    if not p.is_absolute() and base_dir is not None:
-        p = base_dir / p
-    return p
+def _inline_or_file(spec, base_dir: Path | None) -> tuple[object, Path | None]:
+    """A bundle's "fan" or a field's "bundle" and the directory its own paths
+    are relative to: an inline object with base_dir, or the JSON of the file
+    a path string names (relative to base_dir, if given) with its directory.
+    """
+    if not isinstance(spec, str):
+        return spec, base_dir
+    path = Path(spec) if base_dir is None else base_dir / spec  # an absolute spec wins
+    return _load_json(path), path.parent
 
 
 def _load_json(path: Path):

@@ -4,7 +4,10 @@
 copies of the ``fans`` code before one integer elimination of [M | I] per cone
 decided both smoothness and the dual basis: a Fraction determinant by
 Gaussian elimination, and a Fraction Gauss-Jordan of [M | I] whose right half
-must be integral.  They live here only as references.  With
+must be integral.  They live here only as references.  Both read a cone's
+fault from ``reference_cone_fault``, in the texts of ``validate_fan``, which
+``dual_basis`` raises too since one per-cone check (``fans._cone_duals``)
+serves both.  With
 ``check_faces`` the reference validation also runs ``reference.face_failure``,
 the extreme-ray face check that the library does not run yet (ROADMAP item 4):
 every broken fan below, the overlapping ones included, fails it.
@@ -29,7 +32,8 @@ from toric_cohiggs import (
     fan_product,
     validate_fan,
 )
-from toric_cohiggs.fans import FanVerdict, _cone_det_unimodular, is_primitive
+from toric_cohiggs import fans
+from toric_cohiggs.fans import FanVerdict, _cone_duals, is_primitive
 
 
 def reference_det(m: list[list[Fraction]]) -> Fraction:
@@ -60,24 +64,34 @@ def reference_unimodular(fan: Fan, cone: Cone) -> bool:
     return reference_det([[Fraction(a) for a in r] for r in rows]) in (1, -1)
 
 
+def reference_cone_fault(fan: Fan, cone: Cone) -> str | None:
+    """The first fault of a maximal cone, as ``validate_fan`` words it after "cone {ci} "."""
+    if any(i < 0 or i >= len(fan.rays) for i in cone.ray_indices):
+        return "has a ray index out of range"
+    if len(cone.ray_indices) != fan.n:
+        return f"has {len(cone.ray_indices)} rays, expected {fan.n}"
+    if not reference_unimodular(fan, cone):
+        return "is not smooth (determinant not ±1)"
+    return None
+
+
 def reference_dual_basis(fan: Fan, sigma: Cone):
     if sigma not in fan.max_cones:
         raise ValueError("cone is not a maximal cone of the fan")
+    fault = reference_cone_fault(fan, sigma)
+    if fault is not None:
+        raise ValueError(f"cone {fault}")
     rows = [fan.rays[i] for i in sigma.ray_indices]
-    if len(rows) != fan.n:
-        raise ValueError("cone is not full-dimensional")
     n = fan.n
     aug = [[Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(rows)]
     reduced, pivots = reference_rref_rows(aug)
-    if pivots != list(range(n)):
-        raise ValueError("cone ray matrix is singular")
+    assert pivots == list(range(n))
     inv_rows = [r[n:] for r in reduced[:n]]
     duals = []
     for k in range(n):
         col = [inv_rows[i][k] for i in range(n)]
-        if any(c.denominator != 1 for c in col):
-            raise ValueError("cone is not smooth: dual basis is not integral")
+        assert all(c.denominator == 1 for c in col)
         duals.append(tuple(int(c) for c in col))
     return tuple(duals)
 
@@ -102,15 +116,9 @@ def reference_validate_fan(fan: Fan, check_faces: bool = False) -> FanVerdict:
         if cone.ray_indices in seen:
             return FanVerdict(False, f"duplicate maximal cone {cone.ray_indices}")
         seen.add(cone.ray_indices)
-        if any(i < 0 or i >= len(fan.rays) for i in cone.ray_indices):
-            return FanVerdict(False, f"cone {ci} has a ray index out of range")
-        if len(cone.ray_indices) != fan.n:
-            return FanVerdict(
-                False,
-                f"cone {ci} has {len(cone.ray_indices)} rays, expected {fan.n}",
-            )
-        if not reference_unimodular(fan, cone):
-            return FanVerdict(False, f"cone {ci} is not smooth (determinant not ±1)")
+        fault = reference_cone_fault(fan, cone)
+        if fault is not None:
+            return FanVerdict(False, f"cone {ci} {fault}")
     used = {i for cone in fan.max_cones for i in cone.ray_indices}
     missing = sorted(set(range(len(fan.rays))) - used)
     if missing:
@@ -155,6 +163,8 @@ BROKEN_FANS = {
     "long-cone": Fan(2, ((1, 0), (0, 1), (-1, -1)), (Cone((0, 1, 2)),)),
     "index-out-of-range": Fan(2, ((1, 0), (0, 1)), (Cone((0, 5)),)),
     "negative-index": Fan(2, ((1, 0), (0, 1)), (Cone((-1, 1)),)),
+    # dual_basis once read fan.rays[-1] here, and raised IndexError past the end
+    "negative-index-first": Fan(2, ((1, 0), (0, 1)), (Cone((-1, 0)),)),
     "range-before-smooth": Fan(2, ((1, 0), (1, 2)), (Cone((0, 7)), Cone((0, 1)))),
     "smooth-before-range": Fan(2, ((1, 0), (1, 2)), (Cone((0, 1)), Cone((0, 7)))),
     "smooth-before-length": Fan(2, ((1, 0), (1, 2), (0, 1)), (Cone((0, 1)), Cone((2,)))),
@@ -179,7 +189,8 @@ def test_smooth_fans_match_fraction_reference(name):
     assert validate_fan(fan) == reference_validate_fan(fan)
     assert reference_validate_fan(fan, check_faces=True).ok
     for cone in fan.max_cones:
-        assert _cone_det_unimodular(fan, cone) and reference_unimodular(fan, cone)
+        assert _cone_duals(fan, cone) == reference_dual_basis(fan, cone)
+        assert reference_unimodular(fan, cone)
         assert dual_basis(fan, cone) == reference_dual_basis(fan, cone)
         assert dual_basis(fan, cone) == reference_dual_basis(fan, cone)  # from the cache
 
@@ -195,14 +206,44 @@ def test_broken_fans_give_the_reference_reasons(name):
     fan = BROKEN_FANS[name]
     assert validate_fan(fan) == reference_validate_fan(fan)
     assert not reference_validate_fan(fan, check_faces=True).ok
-    for cone in fan.max_cones:
-        if all(0 <= i < len(fan.rays) for i in cone.ray_indices):
-            assert outcome(dual_basis, fan, cone) == outcome(reference_dual_basis, fan, cone)
-            if len(cone.ray_indices) == fan.n:
-                assert _cone_det_unimodular(fan, cone) == reference_unimodular(fan, cone)
     foreign = Cone(tuple(range(fan.n)))
     if foreign not in fan.max_cones:
         assert outcome(dual_basis, fan, foreign) == outcome(reference_dual_basis, fan, foreign)
+
+
+@pytest.mark.parametrize("name", sorted({**smooth_fans(), **BROKEN_FANS}))
+def test_dual_basis_raises_exactly_the_per_cone_fault_of_validate_fan(name):
+    fan = {**smooth_fans(), **BROKEN_FANS}[name]
+    reason = validate_fan(fan).reason or ""
+    for ci, cone in enumerate(fan.max_cones):
+        fault = reference_cone_fault(fan, cone)
+        if reason.startswith(f"cone {ci} "):
+            assert reason == f"cone {ci} {fault}"
+        if fault is None:
+            assert dual_basis(fan, cone) == reference_dual_basis(fan, cone)
+            assert _cone_duals(fan, cone) == dual_basis(fan, cone)
+        else:
+            with pytest.raises(ValueError) as exc:
+                dual_basis(fan, cone)
+            assert str(exc.value) == f"cone {fault}"
+            assert _cone_duals(fan, cone) == fault
+
+
+@pytest.mark.parametrize("validate_first", [True, False])
+def test_each_maximal_cone_is_eliminated_once(validate_first, monkeypatch):
+    calls = []
+    rref_rows = fans._rref_rows
+    monkeypatch.setattr(fans, "_rref_rows", lambda rows: calls.append(rows) or rref_rows(rows))
+    for name, fan in smooth_fans().items():
+        calls.clear()
+        for _ in range(2):
+            if validate_first:
+                assert validate_fan(fan).ok
+            for cone in fan.max_cones:
+                dual_basis(fan, cone)
+            if not validate_first:
+                assert validate_fan(fan).ok
+        assert len(calls) == len(fan.max_cones), name
 
 
 def test_broken_fan_reasons_are_the_expected_texts():
@@ -235,7 +276,7 @@ def test_single_cone_smoothness_and_dual_basis_match_reference(rows):
     n = len(rows)
     fan = Fan(n, tuple(map(tuple, rows)), (Cone(tuple(range(n))),))
     cone = fan.max_cones[0]
-    assert _cone_det_unimodular(fan, cone) == reference_unimodular(fan, cone)
+    assert (type(_cone_duals(fan, cone)) is tuple) == reference_unimodular(fan, cone)
     assert outcome(dual_basis, fan, cone) == outcome(reference_dual_basis, fan, cone)
     assert validate_fan(fan) == reference_validate_fan(fan)
 

@@ -178,10 +178,11 @@ def test_private_attributes_stay_out_of_equality_hash_and_repr(cls):
 
 def test_caches_set_in_post_init_are_private_attributes():
     fan, bundle = SAMPLES[Fan], SAMPLES[TVB]
-    assert fan._reduced and bundle._values  # filled while the samples were computed
+    assert any(fan._duals.values()) and bundle._values  # filled while the samples were computed
     fresh_fan = Fan(fan.n, fan.rays, fan.max_cones)
     fresh_bundle = TVB(fresh_fan, bundle.r, bundle.filts)
-    assert fresh_fan._reduced == {} and fresh_bundle._values == {}
+    assert fresh_fan._duals == dict.fromkeys(c.ray_indices for c in fan.max_cones)
+    assert fresh_bundle._values == {}
     assert fresh_fan == fan and hash(fresh_fan) == hash(fan) and repr(fresh_fan) == repr(fan)
     assert fresh_bundle == bundle and repr(fresh_bundle) == repr(bundle)
 

@@ -115,6 +115,27 @@ def test_field_file_with_bundle_path(tmp_path, bundle_zoo):
     assert field.mats[1] == Mat.identity(2).scale(2)
 
 
+@pytest.mark.parametrize("absolute", [False, True])
+def test_nested_paths_resolve_from_the_file_that_names_them(tmp_path, bundle_zoo, capsys,
+                                                            absolute):
+    # field.json names sub/bundle.json, whose fan is ../fans/fan.json
+    v, top = bundle_zoo["tangent_pn2"], tmp_path / "top"
+    (top / "sub").mkdir(parents=True)
+    (top / "fans").mkdir()
+    save_json(top / "fans" / "fan.json", fan_to_obj(v.fan))
+    bundle_obj = bundle_to_obj(v)
+    bundle_obj["fan"] = str(top / "fans" / "fan.json") if absolute else "../fans/fan.json"
+    save_json(top / "sub" / "bundle.json", bundle_obj)
+    save_json(top / "field.json", {
+        "bundle": str(top / "sub" / "bundle.json") if absolute else "sub/bundle.json",
+        "tuple": [mat_to_obj(Mat.identity(2)), mat_to_obj(Mat.identity(2).scale(2))],
+    })
+    field = load_field(top / "field.json")
+    assert field.bundle == v and field.mats[1] == Mat.identity(2).scale(2)
+    assert cli.main(["validate-field", str(top / "field.json"), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
 def test_mat_from_obj_validates_shape():
     with pytest.raises(SchemaError):
         mat_from_obj([["1", "2"], ["3"]])
@@ -142,7 +163,7 @@ SCHEMA_BREAKAGES = [
      "filtration 'ray' must be an integer, got '0'"),
     (lambda o: o["filtrations"][1].update(ray=0), "two filtrations for ray 0"),
     (lambda o: o["filtrations"][0].update(steps=[]),
-     "filtration for ray 0 needs at least one step"),
+     "bad filtration for ray 0: a filtration needs at least one step"),
     (lambda o: o["fan"]["rays"].__setitem__(0, [1, "0"]),
      "each of 'rays' must be a list of integers, got [1, '0']"),
     (lambda o: o["fan"].update(max_cones=[[0, "1"]]),

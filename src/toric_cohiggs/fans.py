@@ -92,10 +92,11 @@ class FanVerdict(Record):
 
 def _cone_duals(fan: Fan, cone: Cone) -> tuple[Character, ...] | str:
     """The dual basis of a maximal cone of fan, or the text of its first fault:
-    a ray index out of range, a ray count other than n, or a ray matrix M that
-    is not unimodular.  For invertible M the integer elimination of [M | I]
-    gives the primitive multiples of [I | M^-1], and M^-1 is integral iff
-    every pivot is 1, iff det M = ±1.  Judged once per fan and cone.
+    a ray index out of range, a ray of length other than n, a ray count other
+    than n, or a ray matrix M that is not unimodular.  For invertible M the
+    integer elimination of [M | I] gives the primitive multiples of
+    [I | M^-1], and M^-1 is integral iff every pivot is 1, iff det M = ±1.
+    Judged once per fan and cone.
     """
     key, n = cone.ray_indices, fan.n
     got = fan._duals[key]
@@ -103,6 +104,8 @@ def _cone_duals(fan: Fan, cone: Cone) -> tuple[Character, ...] | str:
         return got
     if any(i < 0 or i >= len(fan.rays) for i in key):
         got = "has a ray index out of range"
+    elif wrong := [len(fan.rays[i]) for i in key if len(fan.rays[i]) != n]:
+        got = f"has a ray of length {wrong[0]}, expected {n}"
     elif len(key) != n:
         got = f"has {len(key)} rays, expected {n}"
     else:

@@ -18,9 +18,11 @@ pivot row is divided by its content, signed so the pivot is positive, at the
 end.  Intersections, sums, complements, kernels and annihilators build and
 consume these integer rows directly; ``_kernel_of_rows`` reads every kernel
 off the reduced rows, each free column scaled by the lcm of the pivots it meets.
-The internal constructors ``Subspace._canonical`` and ``Mat._trusted`` store
-rows that are already canonical without checking them again; ``as_vec`` is
-the entry point for outside values.
+A subspace has two constructors: ``Subspace(n, rows)`` spans any rows (every
+span, kernel, intersection and sum, and the shared ``zero`` and ``full``), and
+``Subspace._canonical``, like ``Mat._trusted``, stores rows that are already
+canonical without checking them again.  ``as_vec`` is the entry point for
+outside values.
 
 The predicates ``commutes`` and ``preserves`` are decided on integer
 multiples too, which is exact because both are invariant under nonzero
@@ -255,7 +257,7 @@ def _integer_row(row: Sequence) -> Sequence[int]:
 
 
 def _rref_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[Sequence[int]], list[int]]:
-    """Gauss-Jordan on integer rows; returns (all rows incl. zero rows, pivot columns).
+    """Gauss-Jordan on integer rows; returns (reduced basis rows, pivot columns).
 
     Clearing column c of a row with entry f against the pivot row with pivot
     p replaces the row by p*row - f*pivot_row, divided by its content.  Each
@@ -263,7 +265,8 @@ def _rref_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[Sequence[
     is positive: the result is the reduced row echelon form with every row
     scaled to a primitive integer vector, which is unique.  Input rows are
     never mutated, so a row of ints is used as it is: a returned row may be
-    the caller's own input row, and must not be mutated either.
+    the caller's own input row, and must not be mutated either.  The zero
+    rows of the reduced form are dropped: row i has its pivot at pivots[i].
     """
     m = [_integer_row(r) for r in rows]
     if not m:
@@ -298,7 +301,6 @@ def _rref_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[Sequence[
         if row[col] < 0:
             g = -g
         out.append(row if g == 1 else [a // g for a in row])
-    out.extend([0] * ncols for _ in range(nrows - lead))
     return out, pivots
 
 
@@ -323,12 +325,12 @@ class Subspace:
     def __init__(self, ambient_dim: int, vectors: Iterable[Iterable] = ()):
         if ambient_dim < 0:
             raise ValueError("negative ambient dimension")
-        rows = list(map(tuple, vectors))  # _rref_rows makes them integer rows
+        # _rref_rows never mutates a row and _store copies what it keeps
+        rows = [v if isinstance(v, (list, tuple)) else tuple(v) for v in vectors]
         for v in rows:
             if len(v) != ambient_dim:
                 raise ValueError(f"vector of length {len(v)} in ambient dimension {ambient_dim}")
-        reduced, pivots = _rref_rows(rows)
-        self._store(ambient_dim, reduced[: len(pivots)], pivots)
+        self._store(ambient_dim, *_rref_rows(rows))
 
     def _store(self, ambient_dim: int, rows, pivots) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -351,22 +353,20 @@ class Subspace:
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         """The zero subspace of Q^n: one shared instance per n."""
-        got = _ZERO_SPACES.get(ambient_dim)
-        if got is None:
-            if ambient_dim < 0:
-                raise ValueError("negative ambient dimension")
-            got = _ZERO_SPACES[ambient_dim] = cls._canonical(ambient_dim, (), ())
-        return got
+        return cls._shared(ambient_dim, 0)
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        """The whole of Q^n: one shared instance per n, since subspaces are immutable."""
-        got = _FULL_SPACES.get(ambient_dim)
+        """The whole of Q^n: one shared instance per n."""
+        return cls._shared(ambient_dim, ambient_dim)
+
+    @classmethod
+    def _shared(cls, ambient_dim: int, dim: int) -> "Subspace":
+        """The span of Q^n's first dim unit vectors: immutable, so built once and shared."""
+        got = _SHARED_SPACES.get((ambient_dim, dim))
         if got is None:
-            if ambient_dim < 0:
-                raise ValueError("negative ambient dimension")
-            rows = [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)]
-            got = _FULL_SPACES[ambient_dim] = cls._canonical(ambient_dim, rows, range(ambient_dim))
+            units = [[int(i == j) for j in range(ambient_dim)] for i in range(dim)]
+            got = _SHARED_SPACES[ambient_dim, dim] = cls(ambient_dim, units)
         return got
 
     @property
@@ -433,8 +433,7 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}: {rows})"
 
 
-_ZERO_SPACES: dict[int, Subspace] = {}
-_FULL_SPACES: dict[int, Subspace] = {}
+_SHARED_SPACES: dict[tuple[int, int], Subspace] = {}
 
 
 def preserves(a: Mat, s: Subspace) -> bool:
@@ -447,12 +446,6 @@ def preserves(a: Mat, s: Subspace) -> bool:
         return True
     x = a._integer_form()[1]
     return not any(any(s._residue([sum(map(mul, row, w)) for row in x])[0]) for w in s.rows)
-
-
-def _span(ambient_dim: int, rows: Sequence[Sequence[Fraction | int]]) -> Subspace:
-    """The canonical subspace spanned by rows of length ambient_dim."""
-    reduced, pivots = _rref_rows(rows)
-    return Subspace._canonical(ambient_dim, reduced[: len(pivots)], pivots)
 
 
 def _null_vectors(
@@ -485,7 +478,7 @@ def _kernel_of_rows(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> Sub
     reduced, pivots = _rref_rows(rows)
     if not pivots:
         return Subspace.full(ncols)
-    return _span(ncols, _null_vectors(reduced, pivots, ncols))
+    return Subspace(ncols, _null_vectors(reduced, pivots, ncols))
 
 
 def kernel(m: Mat) -> Subspace:
@@ -529,7 +522,7 @@ def intersect(s: Subspace, t: Subspace) -> Subspace:
                 cj *= w
                 v = [x + cj * y for x, y in zip(v, u)]
         vectors.append(v)
-    return _span(s.ambient_dim, vectors)
+    return Subspace(s.ambient_dim, vectors)
 
 
 def subspace_sum(s: Subspace, *more: Subspace) -> Subspace:
@@ -542,7 +535,7 @@ def subspace_sum(s: Subspace, *more: Subspace) -> Subspace:
     nonzero = [t for t in (s, *more) if t.rows]
     if len(nonzero) < 2:
         return nonzero[0] if nonzero else s
-    return _span(s.ambient_dim, [row for t in nonzero for row in t.rows])
+    return Subspace(s.ambient_dim, [row for t in nonzero for row in t.rows])
 
 
 def complement_within(s: Subspace, t: Subspace) -> Subspace:

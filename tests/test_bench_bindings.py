@@ -7,7 +7,8 @@ library would crash ``bench/run.py``.  These tests fail first instead.
 
 A wrapped name that no operation reaches reads zero in every run and measures
 nothing, so one pass of each workload's operations must reach all of them
-but the four that no verb calls.
+but the four that no verb calls.  The elimination hook reads the pivots off
+``_rref_rows``'s result, so a real call pins the shape it reads.
 """
 
 import importlib
@@ -68,3 +69,19 @@ def test_one_pass_of_each_workload_reaches_every_binding_but_four(monkeypatch, t
             with redirect_stdout(io.StringIO()):
                 assert cli.main([op.verb, str(work / op.file), "--format", "json"]) == 0, op.op_id
     assert sorted(names - set(calls)) == sorted(UNREACHED)
+
+
+def test_rref_work_counts_rows_times_columns_times_rank(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    modules = {module: importlib.import_module(f"toric_cohiggs.{module}")
+               for module, *_ in spans.BINDINGS + spans.COUNTED}
+    rows = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]]  # 3 x 4 of rank 2
+    rec = spans.Recorder()
+    restore = rec.install(modules)
+    try:
+        for module in ("linalg", "fans"):
+            assert modules[module]._rref_rows(rows)[1] == [0, 1]
+    finally:
+        restore()
+    assert rec.counts["linalg.rref.work"] == 2 * 3 * 4 * 2

@@ -68,6 +68,9 @@ def reference_cone_fault(fan: Fan, cone: Cone) -> str | None:
     """The first fault of a maximal cone, as ``validate_fan`` words it after "cone {ci} "."""
     if any(i < 0 or i >= len(fan.rays) for i in cone.ray_indices):
         return "has a ray index out of range"
+    for i in cone.ray_indices:
+        if len(fan.rays[i]) != fan.n:
+            return f"has a ray of length {len(fan.rays[i])}, expected {fan.n}"
     if len(cone.ray_indices) != fan.n:
         return f"has {len(cone.ray_indices)} rays, expected {fan.n}"
     if not reference_unimodular(fan, cone):
@@ -153,7 +156,11 @@ def smooth_fans() -> dict:
 
 # Broken fans, each failing (at least) one of the checks that reach the cones:
 # the first failure is reported, so several problems in one fan pin the order.
+# validate_fan refuses a ray of the wrong length before it reaches any cone,
+# and dual_basis refuses the cone.
 BROKEN_FANS = {
+    "long-rays": Fan(2, ((1, 0, 0), (0, 1, 0)), (Cone((0, 1)),)),
+    "mixed-ray-lengths": Fan(2, ((1, 0), (0, 1, 0)), (Cone((0, 1)),)),
     "det2": Fan(2, ((1, 0), (1, 2)), (Cone((0, 1)),)),
     "det-2": Fan(2, ((1, 2), (1, 0)), (Cone((0, 1)),)),
     "det3-in-3d": Fan(3, ((1, 0, 0), (0, 1, 0), (1, 1, 3)), (Cone((0, 1, 2)),)),
@@ -258,6 +265,11 @@ def test_broken_fan_reasons_are_the_expected_texts():
     assert reasons["second-cone-det2"] == "cone 1 is not smooth (determinant not ±1)"
     assert reasons["smooth-before-duplicate"] == "cone 0 is not smooth (determinant not ±1)"
     assert reasons["duplicate-before-smooth"] == "duplicate maximal cone (0, 2)"
+    assert reasons["long-rays"] == "ray 0 has length 3, expected 2"
+    assert reasons["mixed-ray-lengths"] == "ray 1 has length 3, expected 2"
+    for name in ("long-rays", "mixed-ray-lengths"):
+        with pytest.raises(ValueError, match="^cone has a ray of length 3, expected 2$"):
+            dual_basis(BROKEN_FANS[name], Cone((0, 1)))
     # only the reference face check rejects these (ROADMAP item 4)
     assert validate_fan(BROKEN_FANS["overlap"]).ok
     assert validate_fan(BROKEN_FANS["overlap-inside"]).ok

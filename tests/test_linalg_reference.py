@@ -24,6 +24,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,7 +33,6 @@ from toric_cohiggs.linalg import (
     Mat,
     Subspace,
     _rref_rows,
-    _span,
     annihilator,
     complement_within,
     intersect,
@@ -55,22 +55,28 @@ def primitive_row(row):
 
 
 def primitive_rows(reduced):
-    """The reference's rows in the canonical integer form (zero rows stay zero)."""
+    """The reference's rows in the canonical integer form."""
     return [primitive_row(r) for r in reduced]
 
 
 def fraction_view(rows, pivots):
-    """Integer reduced rows divided by their pivots; zero rows stay zero."""
-    out = [[Fraction(a, r[p]) for a in r] for r, p in zip(rows, pivots)]
-    return out + [[Fraction(a) for a in r] for r in rows[len(pivots):]]
+    """Integer reduced rows divided by their pivots."""
+    return [[Fraction(a, r[p]) for a in r] for r, p in zip(rows, pivots)]
 
 
 def assert_integer_rows(rows, pivots):
-    """Rows of exact ints; pivot rows primitive with a positive pivot, the rest zero."""
+    """One row of exact ints per pivot, primitive with a positive pivot."""
+    assert len(rows) == len(pivots)
     assert all(type(a) is int for r in rows for a in r)
     for r, p in zip(rows, pivots):
         assert r[p] > 0 and gcd(*r) == 1
-    assert not any(a for r in rows[len(pivots):] for a in r)
+
+
+def reference_pivot_rows(rows):
+    """The reference's reduced rows without its zero rows, and its pivots."""
+    reduced, pivots = reference_rref_rows(rows)
+    assert not any(a for r in reduced[len(pivots):] for a in r)
+    return reduced[: len(pivots)], pivots
 
 
 def reference_basis(rows):
@@ -236,23 +242,21 @@ def assert_trusted_mat(m: Mat):
 @given(matrices(max_rows=6, max_cols=6))
 def test_rref_rows_matches_fraction_reference_and_sympy(m):
     reduced, pivots = _rref_rows(m.rows)
-    ref_reduced, ref_pivots = reference_rref_rows(m.rows)
+    ref_reduced, ref_pivots = reference_pivot_rows(m.rows)
     assert pivots == ref_pivots
     assert reduced == primitive_rows(ref_reduced)
     assert_integer_rows(reduced, pivots)
-    assert len(reduced) == m.nrows
     assert fraction_view(reduced, pivots) == ref_reduced
-    assert (ref_reduced, ref_pivots) == (sympy_rref(m.rows, m.ncols) if m.rows else ([], []))
+    assert reference_rref_rows(m.rows) == (sympy_rref(m.rows, m.ncols) if m.rows else ([], []))
     # integer input rows in the same directions reduce to the same rows
     assert _rref_rows([primitive_row(r) for r in m.rows]) == (reduced, pivots)
 
 
 def test_rref_rows_shapes_without_entries():
     assert _rref_rows([]) == ([], [])
-    assert _rref_rows([[], []]) == ([[], []], [])
-    reduced, pivots = _rref_rows([[Fraction(0)] * 3] * 2)
-    assert (reduced, pivots) == ([[0, 0, 0], [0, 0, 0]], [])
-    assert_integer_rows(reduced, pivots)
+    assert _rref_rows([[], []]) == ([], [])
+    assert _rref_rows([[Fraction(0)] * 3] * 2) == ([], [])
+    assert _rref_rows([[0, 0], [0, 5], [0, 0]]) == ([[0, 1]], [1])
 
 
 def test_rref_rows_large_entries():
@@ -261,7 +265,7 @@ def test_rref_rows_large_entries():
             [big, Fraction(0), big]]
     for rows in (rows, rows[:2], [rows[0], [2 * a for a in rows[0]], rows[1]]):
         reduced, pivots = _rref_rows(rows)
-        ref_reduced, ref_pivots = reference_rref_rows(rows)
+        ref_reduced, ref_pivots = reference_pivot_rows(rows)
         assert (reduced, pivots) == (primitive_rows(ref_reduced), ref_pivots)
         assert_integer_rows(reduced, pivots)
         assert fraction_view(reduced, pivots) == ref_reduced
@@ -331,15 +335,21 @@ def test_annihilator_matches_references(s):
 @settings(max_examples=150, deadline=None)
 @given(matrices(max_rows=5, max_cols=5))
 def test_subspace_constructions_agree(m):
-    """Fraction rows, integer rows and the internal span give one canonical value."""
+    """Fraction, integer, string and generator rows give one canonical value,
+    and a caller's rows mutated afterwards leave it as it was."""
     n = m.ncols
+    mutated = [primitive_row(r) for r in m.rows]
     spaces = [
         Subspace(n, m.rows),
         Subspace(n, [primitive_row(r) for r in m.rows]),
+        Subspace(n, tuple(tuple(primitive_row(r)) for r in m.rows)),
         Subspace(n, [[str(a) for a in r] for r in m.rows]),
-        _span(n, m.rows),
-        _span(n, [primitive_row(r) for r in m.rows]),
+        Subspace(n, ((a for a in r) for r in m.rows)),
+        Subspace(n, mutated),
     ]
+    for row in mutated:
+        row.reverse()
+        row.append(1)
     basis = reference_basis(m.rows)
     if basis == tuple(tuple(r) for r in Mat.identity(n).rows):
         spaces.append(Subspace.full(n))
@@ -364,6 +374,17 @@ def test_shared_zero_and_full_spaces_are_canonical():
         assert hash(Subspace.full(n)) == hash(Subspace(n, Mat.identity(n).rows))
         assert Subspace.full(n).rows == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         assert Subspace.zero(n).rows == Subspace.zero(n).basis == ()
+
+
+def test_negative_ambient_dimension_is_refused_by_every_constructor():
+    before = [(Subspace.zero(n), Subspace.full(n)) for n in range(3)]
+    for build in (Subspace, Subspace.zero, Subspace.full):
+        with pytest.raises(ValueError, match="^negative ambient dimension$"):
+            build(-1)
+    for n, (zero, full) in enumerate(before):
+        assert Subspace.zero(n) is zero and Subspace.full(n) is full
+    for n in range(3, 6):
+        assert Subspace.zero(n) is Subspace.zero(n) and Subspace.full(n) is Subspace.full(n)
 
 
 # --------------------------------------------------------------------------

@@ -73,10 +73,15 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # fixtures
 
+_MAX_DIM = 100  # example canonical --dim 100 writes 14 MB, and the output grows as n^3
+
+
 def _example_fan(variety: str, dim: int) -> tuple[Fan, str]:
     if variety == "pn":
         if dim < 1:
             raise SchemaError(f"--dim {dim}: projective space fan needs n >= 1")
+        if dim > _MAX_DIM:
+            raise SchemaError(f"--dim {dim}: at most {_MAX_DIM}, since the fixture grows as n^3")
         return fan_pn(dim), f"pn{dim}"
     if variety == "p1xp1":
         return fan_product(fan_pn(1), fan_pn(1)), variety

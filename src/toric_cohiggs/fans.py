@@ -7,11 +7,13 @@ lattice (determinant ±1).  Completeness of a fan is never required, so
 single-cone fixtures are legal.  Nor is it yet checked that two maximal
 cones meet in their common face: a cone inside another passes validation.
 
-Each maximal cone is judged once per fan, by ``_cone_duals``: one integer
-elimination of [M | I], M the cone's ray matrix, gives its dual basis or the
-text of its first fault.  The fan keeps the answer, keyed by the cone's ray
-indices; ``validate_fan`` reports the fault and ``dual_basis`` returns the
-basis or raises the fault.
+``validate_fan`` is the fan's only judge, for a fan read from a file too;
+``Fan`` and ``Cone`` check only their integers (``as_int``).  Each maximal
+cone is judged once per fan, by ``_cone_duals``: one integer elimination of
+[M | I], M the cone's ray matrix, gives its dual basis or the text of its
+first fault.  The fan keeps the answer, keyed by the cone's ray indices;
+``validate_fan`` reports the fault and ``dual_basis`` returns the basis or
+raises the fault.
 """
 
 from __future__ import annotations

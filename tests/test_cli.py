@@ -449,6 +449,39 @@ def test_invalid_fan_in_bundle_exits_1(tmp_path, run_cli, verb):
     assert r.stderr == f"error: {what} fan is invalid: ray 0 = (2, 0) is not primitive\n"
 
 
+# A fan rule broken in the inline fan of a P^2 fixture, and the exact stderr of
+# check and of validate-field: loading leaves the rule to validate_fan, except
+# that a field's matrix count is checked against a negative rank at load.
+FAN_RULE_CASES = {
+    "negative-rank": (lambda f: f.update(n=-1), "bundle fan is invalid: negative lattice rank",
+                      "bad field: 2 matrices for lattice rank -1"),
+    "no-cones": (lambda f: f.update(max_cones=[]),
+                 "bundle fan is invalid: fan has no maximal cones",
+                 "field bundle fan is invalid: fan has no maximal cones"),
+    "index-7": (lambda f: f.update(max_cones=[[0, 7]]),
+                "bundle fan is invalid: cone 0 has a ray index out of range",
+                "field bundle fan is invalid: cone 0 has a ray index out of range"),
+    "index-minus-1": (lambda f: f.update(max_cones=[[0, -1]]),
+                      "bundle fan is invalid: cone 0 has a ray index out of range",
+                      "field bundle fan is invalid: cone 0 has a ray index out of range"),
+}
+
+
+@pytest.mark.parametrize("verb", ["check", "validate-field"])
+@pytest.mark.parametrize("name", sorted(FAN_RULE_CASES))
+def test_fan_rules_exit_1_with_the_validate_fan_reason(tmp_path, run_cli, make_fixture, verb,
+                                                       name):
+    breakage, check_error, field_error = FAN_RULE_CASES[name]
+    kind = "tangent" if verb == "check" else "canonical"
+    path = make_fixture([kind, "--variety", "pn", "--dim", "2"], tmp_path)
+    obj = json.loads(path.read_text())
+    breakage(obj["fan"] if verb == "check" else obj["bundle"]["fan"])
+    path.write_text(json.dumps(obj))
+    r = run_cli([verb, str(path)], tmp_path)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == f"error: {check_error if verb == 'check' else field_error}\n"
+
+
 @pytest.mark.xfail(strict=True, reason="overlapping cones are not detected yet (ROADMAP item 4)")
 def test_overlapping_cones_in_bundle_exit_1(tmp_path, run_cli):
     # cone {1, 2} = cone((0, 1), (1, 1)) lies inside cone {0, 1}: not a fan,
@@ -482,13 +515,13 @@ def _set_first_matrix_entry_to_float(o):
         # 1e300 and 0.5 span the same line as the original basis vector (1, 0)
         ("tangent", lambda o: _set_first_basis(o, [[1e300, 0]]), "basis"),
         ("tangent", lambda o: _set_first_basis(o, [[0.5, 0]]), "basis"),
-        ("tangent", lambda o: o["filtrations"][0]["steps"][0].update(j=False), "'j'"),
-        ("tangent", lambda o: o["fan"]["rays"].__setitem__(0, [True, False]), "'rays'"),
+        ("tangent", lambda o: o["filtrations"][0]["steps"][0].update(j=False), "threshold"),
+        ("tangent", lambda o: o["fan"]["rays"].__setitem__(0, [True, False]), "ray entry"),
         ("tangent", lambda o: o.update(rank=True), "'rank'"),
-        ("tangent", lambda o: o["fan"].update(n=True), "'n'"),
+        ("tangent", lambda o: o["fan"].update(n=True), "lattice rank"),
         ("tangent", lambda o: o["filtrations"][1].update(ray=True), "'ray'"),
         ("tangent", lambda o: o["fan"]["max_cones"].__setitem__(0, [False, True]),
-         "'max_cones'"),
+         "cone index"),
         ("canonical", _set_first_matrix_entry_to_float, "matrix"),
     ],
     ids=["basis-1e300", "basis-0.5", "j-false", "ray-coords-bool", "rank-true",
@@ -564,6 +597,29 @@ def test_example_bad_dim_exits_1(tmp_path, run_cli):
     r = run_cli(["example", "tangent", "--variety", "pn", "--dim", "0"], tmp_path)
     assert r.returncode == 1
     assert "needs n >= 1" in r.stderr
+
+
+@pytest.mark.parametrize("dim", ["101", "10000000000"])
+@pytest.mark.parametrize("kind", ["tangent", "canonical"])
+def test_example_dim_over_100_exits_1_before_building_a_fan(tmp_path, run_cli, monkeypatch,
+                                                            kind, dim):
+    def refuse(n):
+        raise AssertionError(f"fan_pn({n}) was built")
+
+    monkeypatch.setattr(cli, "fan_pn", refuse)
+    r = run_cli(["example", kind, "--variety", "pn", "--dim", dim], tmp_path)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == f"error: --dim {dim}: at most 100, since the fixture grows as n^3\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_example_dim_100_is_allowed(tmp_path, run_cli, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "fan_pn", lambda n: built.append(n) or fan_pn(2))  # a small stand-in
+    r = run_cli(["example", "tangent", "--variety", "pn", "--dim", "100"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert built == [100]
+    assert Path(r.stdout.strip()).name == "tangent_pn100.bundle.json"
 
 
 def test_check_report_ignores_the_old_oracle_limit_env(tmp_path, run_cli, monkeypatch):

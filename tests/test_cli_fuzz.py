@@ -4,8 +4,10 @@ Each example takes the JSON of a fixture for ``check``, ``classify`` or
 ``validate-field``, applies one mutation at a place hypothesis draws (drop a
 key or list item, or put a float, bool, null, string, other container,
 integer, huge integer literal or deeply nested list in place of a value), and
-runs the verb in-process through ``cli.main(argv)``.  Input that is still
-well formed exits 0; malformed input exits 1 with an ``error:`` message.
+runs the verb in-process through ``cli.main(argv)``.  A second set of cases
+draws the place inside the inline fan of the ``check`` and ``validate-field``
+fixtures, whose fan rules only ``fans.validate_fan`` judges.  Input that is
+still well formed exits 0; malformed input exits 1 with an ``error:`` message.
 Exit 2 would mean an internal error, and a slow example fails the deadline.
 """
 
@@ -48,11 +50,14 @@ replacements = st.one_of(
 
 
 @st.composite
-def mutated(draw, obj):
-    """A deep copy of obj with one drawn mutation; the copy, not obj, changes."""
+def mutated(draw, obj, at=()):
+    """A deep copy of obj with one drawn mutation inside the subtree at the
+    key path ``at`` (the subtree itself included); the copy, not obj, changes."""
     obj = json.loads(json.dumps(obj))
     parent, key = None, None
     node = obj
+    for key in at:
+        parent, node = node, node[key]
     # descend five times in six, so deep places are reached and the root rarely replaced
     while isinstance(node, (dict, list)) and node and draw(st.integers(0, 5)):
         keys = sorted(node) if isinstance(node, dict) else range(len(node))
@@ -72,8 +77,7 @@ def _dump(obj) -> str:
     return text.replace(json.dumps(HUGE), HUGE_LITERAL).replace(json.dumps(DEEP), DEEP_LITERAL)
 
 
-@pytest.mark.parametrize("verb", sorted(FIXTURES))
-def test_mutated_fixture_exits_0_or_1(verb, tmp_path_factory, capsys):
+def run_mutations(verb, at, tmp_path_factory, capsys):
     path = tmp_path_factory.mktemp("fuzz") / "input.json"
 
     @settings(
@@ -81,7 +85,7 @@ def test_mutated_fixture_exits_0_or_1(verb, tmp_path_factory, capsys):
         deadline=timedelta(seconds=5),
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(mutated(FIXTURES[verb]))
+    @given(mutated(FIXTURES[verb], at))
     def run(obj):
         path.write_text(_dump(obj))
         capsys.readouterr()
@@ -92,3 +96,17 @@ def test_mutated_fixture_exits_0_or_1(verb, tmp_path_factory, capsys):
             assert err.startswith("error: "), err
 
     run()
+
+
+@pytest.mark.parametrize("verb", sorted(FIXTURES))
+def test_mutated_fixture_exits_0_or_1(verb, tmp_path_factory, capsys):
+    run_mutations(verb, (), tmp_path_factory, capsys)
+
+
+# the inline fan of each fixture that has one: the fan rules are validate_fan's
+FAN_PATHS = {"check": ("fan",), "validate-field": ("bundle", "fan")}
+
+
+@pytest.mark.parametrize("verb", sorted(FAN_PATHS))
+def test_mutated_fan_exits_0_or_1(verb, tmp_path_factory, capsys):
+    run_mutations(verb, FAN_PATHS[verb], tmp_path_factory, capsys)

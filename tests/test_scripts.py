@@ -173,3 +173,41 @@ def test_bench_pairs_passes_the_trace_flag_and_reads_the_layer_metrics(monkeypat
     assert calls[0][calls[0].index("--trace") + 1] == "1"
     script.run_once(ROOT, "classify_ladder", 5, 10.0)
     assert calls[1][calls[1].index("--trace") + 1] == "0"
+
+
+def test_cli_sweep_finds_no_difference_between_the_repo_and_itself(tmp_path, capsys):
+    from toric_cohiggs import cli
+    from toric_cohiggs.cohiggs import ToricCoHiggsField, canonical_pair
+    from toric_cohiggs.serialize import bundle_to_obj, field_to_obj, save_json
+
+    (tmp_path / "sub").mkdir()
+    save_json(tmp_path / "three_lines.json", bundle_to_obj(cli.three_lines_bundle()))
+    field = ToricCoHiggsField(*canonical_pair(cli.fan_pn(1)))
+    save_json(tmp_path / "sub" / "canonical.json", field_to_obj(field))
+    (tmp_path / "sub" / "broken.json").write_text("{")
+    script = load_script("cli_sweep")
+    calls = script.sweep_calls([tmp_path])
+    bundle_verbs = ("check", "classify", "endalg", "chern")
+    wanted = [("sub/broken.json", bundle_verbs), ("sub/canonical.json", ("validate-field",)),
+              ("three_lines.json", bundle_verbs)]  # sorted by path
+    assert calls == [[verb, str(tmp_path.resolve() / name), "--format", fmt]
+                     for name, verbs in wanted for verb in verbs for fmt in ("json", "text")]
+    assert script.main([str(ROOT), str(ROOT), str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"{len(calls)} calls, 0 differ\n"
+
+
+def test_cli_sweep_prints_each_call_that_differs(tmp_path, monkeypatch, capsys):
+    script = load_script("cli_sweep")
+    (tmp_path / "field.json").write_text(json.dumps({"tuple": []}))
+    results = {"parent": [[1, 0, "e3b0", "error: old\n"], [1, 0, "e3b0", "error: same\n"]],
+               "change": [[1, 0, "e3b0", "error: new\n"], [1, 0, "e3b0", "error: same\n"]]}
+    monkeypatch.setattr(script, "run_side", lambda checkout, calls: results[checkout.name])
+    assert script.main([str(tmp_path / "parent"), str(tmp_path / "change"), str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        f"validate-field {tmp_path / 'field.json'} --format json",
+        "  parent: exit 1, stdout 0 bytes sha256 e3b0, stderr 'error: old\\n'",
+        "  change: exit 1, stdout 0 bytes sha256 e3b0, stderr 'error: new\\n'",
+    ]
+    assert err == "2 calls, 1 differ\n"

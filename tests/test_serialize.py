@@ -152,9 +152,10 @@ SCHEMA_BREAKAGES = [
     (lambda o: o["filtrations"].pop(), "no filtration given for ray 2"),
     (lambda o: o["filtrations"][0].update(ray=99), "filtration ray index 99 out of range"),
     (lambda o: o["filtrations"][0]["steps"][0].update(j="zero"),
-     "step threshold 'j' must be an integer, got 'zero'"),
-    (lambda o: o["fan"].update(max_cones=[]), "max_cones must be a nonempty list"),
-    (lambda o: o["fan"].update(max_cones=[[0, 7]]), "cone [0, 7] has a ray index out of range"),
+     "bad filtration for ray 0: threshold 'zero' is not an integer"),
+    (lambda o: o["fan"].update(max_cones=[0, 1]), "fan 'max_cones' must be a list of lists"),
+    # a string ray would otherwise be read character by character
+    (lambda o: o["fan"]["rays"].__setitem__(0, "10"), "fan 'rays' must be a list of lists"),
     # a string row would otherwise be read digit by digit, as (1, 0)
     (lambda o: o["filtrations"][0]["steps"][0].update(basis=["10"]),
      "step basis must be a list of rows"),
@@ -165,9 +166,9 @@ SCHEMA_BREAKAGES = [
     (lambda o: o["filtrations"][0].update(steps=[]),
      "bad filtration for ray 0: a filtration needs at least one step"),
     (lambda o: o["fan"]["rays"].__setitem__(0, [1, "0"]),
-     "each of 'rays' must be a list of integers, got [1, '0']"),
+     "bad fan: ray entry '0' is not an integer"),
     (lambda o: o["fan"].update(max_cones=[[0, "1"]]),
-     "each of 'max_cones' must be a list of ray indices, got [0, '1']"),
+     "bad fan: cone index '1' is not an integer"),
     (lambda o: o["filtrations"][0]["steps"][0].update(basis=[[1.0, 0]]),
      "bad step basis for ray 0: entry 1.0 is not an integer or a 'p/q' string"),
     (lambda o: o["filtrations"][0]["steps"][0].update(basis=[["1/0", "0"]]),
@@ -176,6 +177,8 @@ SCHEMA_BREAKAGES = [
      "filtration 'steps' for ray 0 must be a list"),
     (lambda o: o["filtrations"][0].update(steps="0"),
      "filtration 'steps' for ray 0 must be a list"),
+    (lambda o: o["fan"]["max_cones"].__setitem__(0, [1, 1]),
+     "bad fan: duplicate ray indices in cone (1, 1)"),
 ]
 
 

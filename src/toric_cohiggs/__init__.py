@@ -68,7 +68,6 @@ from .linalg import (
     preserves,
     rat_from_str,
     rat_str,
-    solve_mat_constraints,
     subspace_sum,
 )
 

@@ -60,12 +60,12 @@ def _build_parser() -> _Parser:
         )
 
     p = sub.add_parser("example", help="write a built-in fixture file, print its path")
-    p.add_argument(
-        "kind", choices=("tangent", "hirzebruch", "canonical", "three-lines")
-    )
-    p.add_argument("--variety", choices=("pn", "p1xp1", "p1xp2"), default="pn")
-    p.add_argument("--dim", type=int, default=2, help="n for --variety pn")
-    p.add_argument("--a", type=int, default=0, help="Hirzebruch twist")
+    p.add_argument("kind", choices=tuple(_EXAMPLE_READS))
+    # no defaults: None marks an option not given, so a kind can refuse one it ignores
+    p.add_argument("--variety", choices=("pn", "p1xp1", "p1xp2"),
+                   help="tangent and canonical only (default pn)")
+    p.add_argument("--dim", type=int, help="n for --variety pn (default 2)")
+    p.add_argument("--a", type=int, help="Hirzebruch twist, hirzebruch only (default 0)")
     p.add_argument("--output", help="where to write the fixture")
     return parser
 
@@ -76,16 +76,17 @@ def _build_parser() -> _Parser:
 _MAX_DIM = 100  # example canonical --dim 100 writes 14 MB, and the output grows as n^3
 
 
-def _example_fan(variety: str, dim: int) -> tuple[Fan, str]:
-    if variety == "pn":
-        if dim < 1:
-            raise SchemaError(f"--dim {dim}: projective space fan needs n >= 1")
-        if dim > _MAX_DIM:
-            raise SchemaError(f"--dim {dim}: at most {_MAX_DIM}, since the fixture grows as n^3")
-        return fan_pn(dim), f"pn{dim}"
-    if variety == "p1xp1":
-        return fan_product(fan_pn(1), fan_pn(1)), variety
-    return fan_product(fan_pn(1), fan_pn(2)), variety
+def _example_fan(variety: str | None, dim: int | None) -> tuple[Fan, str]:
+    if variety not in (None, "pn"):
+        if dim is not None:
+            raise SchemaError(f"--variety {variety} ignores --dim")
+        return fan_product(fan_pn(1), fan_pn(1 if variety == "p1xp1" else 2)), variety
+    dim = 2 if dim is None else dim
+    if dim < 1:
+        raise SchemaError(f"--dim {dim}: projective space fan needs n >= 1")
+    if dim > _MAX_DIM:
+        raise SchemaError(f"--dim {dim}: at most {_MAX_DIM}, since the fixture grows as n^3")
+    return fan_pn(dim), f"pn{dim}"
 
 
 def three_lines_bundle() -> TVB:
@@ -96,18 +97,28 @@ def three_lines_bundle() -> TVB:
     return TVB(fan, 2, filts)
 
 
+# example kind -> the options it reads; giving it any other one exits 1
+_EXAMPLE_READS = {
+    "tangent": ("variety", "dim"),
+    "hirzebruch": ("a",),
+    "canonical": ("variety", "dim"),
+    "three-lines": (),
+}
+
+
 def _make_example(args) -> tuple[str, dict]:
+    for option in ("variety", "dim", "a"):
+        if getattr(args, option) is not None and option not in _EXAMPLE_READS[args.kind]:
+            raise SchemaError(f"example {args.kind} ignores --{option}")
     if args.kind == "tangent":
         fan, tag = _example_fan(args.variety, args.dim)
         return f"tangent_{tag}.bundle.json", serialize.bundle_to_obj(tangent_bundle(fan))
     if args.kind == "hirzebruch":
-        if args.a < 0:
+        a = 0 if args.a is None else args.a
+        if a < 0:
             raise SchemaError("--a must be >= 0")
-        fan = fan_hirzebruch(args.a)
-        return (
-            f"hirzebruch_a{args.a}.bundle.json",
-            serialize.bundle_to_obj(tangent_bundle(fan)),
-        )
+        return f"hirzebruch_a{a}.bundle.json", serialize.bundle_to_obj(
+            tangent_bundle(fan_hirzebruch(a)))
     if args.kind == "canonical":
         fan, tag = _example_fan(args.variety, args.dim)
         bundle, mats = canonical_pair(fan)

@@ -6,6 +6,22 @@ module computes that algebra, its center and structure constants, and the
 bilinear equations cutting out commuting n-tuples of its elements (the
 classification datum for invariant co-Higgs fields).
 
+The algebra is solved in a basis adapted to two rays a, b of a maximal cone
+(Klyachko 1990; Payne 2008).  Any two filtrations split together: the
+greedy pieces of the cone {a, b} sum directly to Q^r (``bundles``).  With P
+the pieces' rows as columns and w a piece's grid point (its levels on a and
+b), A preserves every step of a and b iff B = P⁻¹AP maps each piece into the
+pieces with w' ≥ w componentwise, so B's free entries (i, j) are read off
+that order, with no elimination.  A step V of another ray becomes P⁻¹V,
+from the integer D·P⁻¹ (``linalg._integer_inverse``), and adds the rows
+f_i w_j at the free entries only, f vanishing on P⁻¹V and w in it; a step
+spanned by unit vectors instead pins the entries (i ∉ V, j ∈ V) to 0.  The
+kernel maps back as A = P B P⁻¹ through ``Subspace(...)``.  When every step
+of a and b is spanned by unit vectors, as on a sum of line bundles, P is a
+permutation and B = A: each coordinate's levels are read off the steps, and
+the algebra's rows are written directly (unit rows when nothing but pins
+constrains), with no walk, annihilator, product or elimination.
+
 The algebra is its canonical subspace of Q^(r²) (matrices vectorized
 row-major), so an element's coordinates are its entries at the pivots; the
 basis element A_a is the primitive integer row R_a over its pivot entry d_a.
@@ -28,17 +44,21 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import ge, mul
 
-from .bundles import TVB
+from .bundles import TVB, _greedy_pieces
 from .errors import InternalError
+from .fans import Cone
 # solve_linear and kernel are re-exported: the benchmark's trace wraps them here.
 from .linalg import (  # noqa: F401
     Mat,
     Subspace,
+    _integer_inverse,
     _kernel_of_rows,
+    _product,
+    annihilator,
     kernel,
     solve_linear,
-    solve_mat_constraints,
 )
 from .records import Record
 
@@ -154,16 +174,84 @@ class FilteredEndAlgebra(Record):
 
 
 def filtered_endos(v: TVB) -> FilteredEndAlgebra:
-    """Solve the membership constraints A·V ⊆ V over all filtration steps.
+    """{A : A·V ⊆ V for every filtration step V}, solved in the basis adapted
+    to the first two rays of the first maximal cone (module docstring).
 
-    Each distinct step subspace constrains once; zero and full spaces
-    constrain nothing.  Compatibility of the bundle is not required; the
-    constraint system is meaningful for arbitrary filtration data.
+    Compatibility is not required: any two filtrations split together.
     """
-    steps = dict.fromkeys(
-        sub for filt in v.filts for _, sub in filt.steps if 0 < sub.dim < v.r
-    )
-    return FilteredEndAlgebra(v, solve_mat_constraints(steps, v.r))
+    cones = v.fan.max_cones
+    pair = cones[0].ray_indices[:2] if cones else ()
+    return FilteredEndAlgebra(v, _solve_adapted(v, pair, *_adapted_basis(v, pair)))
+
+
+def _adapted_basis(v: TVB, pair: tuple[int, ...]) -> tuple[list, list | None]:
+    """Per basis vector its levels on the rays of ``pair``, and the basis rows:
+    None for the unit vectors when every step of those rays is spanned by
+    unit vectors (a level is then the number of steps holding the vector),
+    otherwise the greedy pieces' rows."""
+    levels = [[0] * len(pair) for _ in range(v.r)]
+    for k, ray in enumerate(pair):
+        for _, sub in v.filts[ray].steps:
+            if any(row.count(0) != v.r - 1 for row in sub.rows):
+                return _piece_basis(v, pair)
+            for p in sub.pivots:
+                levels[p][k] += 1
+    return levels, None
+
+
+def _piece_basis(v: TVB, pair: tuple[int, ...]) -> tuple[list, list]:
+    """The greedy pieces' grid points and rows, one per basis vector of Q^r."""
+    pieces = _greedy_pieces(v, Cone(pair))
+    basis = [row for piece in pieces.values() for row in piece.rows]
+    if len(basis) != v.r:
+        raise InternalError("the pieces of two rays do not split the fiber")
+    return [w for w, piece in pieces.items() for _ in piece.rows], basis
+
+
+def _solve_adapted(v: TVB, pair: tuple[int, ...], levels, basis) -> Subspace:
+    """The algebra in the basis P whose columns are ``basis`` (the unit vectors
+    if None), its vectors at ``levels`` on the rays of ``pair``."""
+    r, n = v.r, v.r * v.r
+    if basis is not None:
+        columns = list(zip(*_integer_inverse(basis)[1]))  # the rows of D·P⁻¹
+    pinned, mixed = set(), []
+    for sub in dict.fromkeys(
+        sub for ray, filt in enumerate(v.filts) if ray not in pair
+        for _, sub in filt.steps if 0 < sub.dim < r
+    ):
+        if basis is not None:  # P⁻¹V
+            sub = Subspace(r, [[sum(map(mul, c, w)) for c in columns] for w in sub.rows])
+        if all(row.count(0) == r - 1 for row in sub.rows):  # spanned by unit vectors
+            inside = set(sub.pivots)
+            pinned.update(i * r + j for i in range(r) if i not in inside for j in inside)
+        else:
+            mixed.append(sub)
+    free = [  # B's entries (i, j) with levels i ≥ levels j, ascending, less the pinned
+        q for i, li in enumerate(levels) for j, lj in enumerate(levels)
+        if all(map(ge, li, lj)) and (q := i * r + j) not in pinned
+    ]
+    rows = [
+        row for sub in mixed for f in annihilator(sub).rows for w in sub.rows
+        if any(row := [f[q // r] * w[q % r] for q in free])
+    ]
+    if basis is None and not rows:  # the unit rows of the free entries
+        return Subspace._canonical(n, [[0] * q + [1] + [0] * (n - q - 1) for q in free], free)
+    kern = _kernel_of_rows(rows, len(free)) if rows else Subspace.full(len(free))
+    if basis is None:
+        return _lifted(kern, free, n)
+    pt = list(zip(*basis))  # D·A = P B (D·P⁻¹), vectorized row-major
+    return Subspace(n, [
+        [x for row in _product(pt, _product([b[i:i + r] for i in range(0, n, r)], columns, r, 0),
+                               r, 0) for x in row]
+        for b in _lifted(kern, free, n).rows
+    ])
+
+
+def _lifted(kern: Subspace, free: list[int], n: int) -> Subspace:
+    """A canonical subspace on the coordinates ``free`` (ascending) of Q^n, put
+    back in Q^n with zeros elsewhere, where its rows stay canonical."""
+    rows = [list(map(dict(zip(free, y)).get, range(n), (0,) * n)) for y in kern.rows]
+    return Subspace._canonical(n, rows, [free[p] for p in kern.pivots])
 
 
 def is_commutative(alg: FilteredEndAlgebra) -> bool:
@@ -197,9 +285,8 @@ def center(alg: FilteredEndAlgebra) -> Subspace:
             rows[tuple((b, v // g) for b, v in eq)] = None
     free, zero = [b for b in range(d) if b not in pinned], (0,) * d
     system = [list(map(dict(eq).get, free, zero)) for eq in rows]
-    kern = _kernel_of_rows(system, len(free)) if system else Subspace.full(len(free))
-    lifted = [tuple(map(dict(zip(free, y)).get, range(d), zero)) for y in kern.rows]
-    return Subspace._canonical(d, lifted, [free[p] for p in kern.pivots])
+    return _lifted(_kernel_of_rows(system, len(free)) if system else Subspace.full(len(free)),
+                   free, d)
 
 
 def structure_constants(alg: FilteredEndAlgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:

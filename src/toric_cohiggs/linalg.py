@@ -558,6 +558,22 @@ def annihilator(s: Subspace) -> Subspace:
     return _kernel_of_rows(s.rows, s.ambient_dim)
 
 
+def _integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(D, D·M⁻¹) for the invertible integer matrix M with these rows, D the
+    least positive integer that makes D·M⁻¹ integral.
+
+    The integer elimination of [M | I] gives the primitive rows c_k [e_k | M⁻¹_k];
+    row k of M⁻¹ has the exact denominator c_k, so D is the lcm of the c_k.
+    """
+    n = len(rows)
+    reduced, pivots = _rref_rows([[*row, *(int(k == j) for j in range(n))]
+                                  for k, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        raise ValueError("the matrix is singular")
+    den = lcm(*(row[k] for k, row in enumerate(reduced)))
+    return den, [[x * (den // row[k]) for x in row[n:]] for k, row in enumerate(reduced)]
+
+
 def solve_linear(a: Mat, b: Sequence) -> Vec | None:
     """One solution x of a x = b (free variables set to 0), or None."""
     b = as_vec(b)
@@ -570,23 +586,3 @@ def solve_linear(a: Mat, b: Sequence) -> Vec | None:
     for row, p in zip(reduced, pivots):
         x[p] = Fraction(row[a.ncols], row[p])
     return tuple(x)
-
-
-def solve_mat_constraints(subspaces: Iterable[Subspace], r: int) -> Subspace:
-    """The subspace of Q^(r²) of matrices A, vectorized row-major, with
-    A·V ⊆ V for every V.
-
-    A·V ⊆ V iff every functional f vanishing on V kills A·w for every basis
-    row w of V; the coefficient of A[i][j] in f·(A w) is f_i w_j.  Each V
-    contributes those conditions from one annihilator, and the result is the
-    kernel of the stacked conditions, in canonical form.
-    """
-    rows = []
-    for v in subspaces:
-        if v.ambient_dim != r:
-            raise ValueError("constraint dimension mismatch")
-        ann = annihilator(v).rows
-        for w in v.rows:
-            for f in ann:
-                rows.append([fi * wj for fi in f for wj in w])
-    return _kernel_of_rows(rows, r * r)

@@ -12,15 +12,20 @@ They live in one module so that no ``test_*`` module imports another:
   made on its input before it normalized raw steps itself, and the value of
   raw steps at a level, read off the unsorted list;
 - the grading walk of the whole threshold grid in a sorted order;
-- the endomorphism algebra's coordinates and commutator forms from direct
-  commutators, and the sparse forms evaluated on coordinate vectors;
+- the endomorphism algebra as the kernel of every step's constraint rows in
+  all r² unknowns (``solve_mat_constraints``), which the solve in the
+  adapted basis of two rays replaced; the algebra's coordinates and
+  commutator forms from direct commutators, and the sparse forms evaluated
+  on coordinate vectors;
 - a subspace's report rows through its ``Fraction`` basis and ``rat_str``,
   and a classification report through the report's ``Mat`` accessors
   (``mat_to_obj``) and its ``Fraction`` forms: the renderers that writing
   from the integer rows and the difference list replaced;
 - the face check of a fan by extreme-ray enumeration: two maximal cones must
   meet in the cone on their shared rays (Cox-Little-Schenck, *Toric
-  Varieties*, Lemma 1.2.13).  The library does not check this yet.
+  Varieties*, Lemma 1.2.13).  The library does not check this yet;
+- the chart commutation of a field on every maximal cone, which one cone's
+  charts replaced.
 """
 
 from __future__ import annotations
@@ -29,11 +34,15 @@ import itertools
 from fractions import Fraction
 
 from toric_cohiggs import direct_sum, line_bundle
+from toric_cohiggs.cohiggs import IntegrabilityVerdict, _integer_charts
 from toric_cohiggs.fans import dual_basis, pairing
 from toric_cohiggs.serialize import chern_to_obj, mat_to_obj
 from toric_cohiggs.linalg import (
     Mat,
     Subspace,
+    _integer_commute,
+    _kernel_of_rows,
+    annihilator,
     complement_within,
     intersect,
     kernel,
@@ -266,6 +275,34 @@ def line_sum(fan, twists):
     return v
 
 
+def solve_mat_constraints(subspaces, r: int) -> Subspace:
+    """The subspace of Q^(r²) of matrices A, vectorized row-major, with
+    A·V ⊆ V for every V.
+
+    A·V ⊆ V iff every functional f vanishing on V kills A·w for every basis
+    row w of V; the coefficient of A[i][j] in f·(A w) is f_i w_j.  Each V
+    contributes those conditions from one annihilator, and the result is the
+    kernel of the stacked conditions, in canonical form.
+    """
+    rows = []
+    for v in subspaces:
+        if v.ambient_dim != r:
+            raise ValueError("constraint dimension mismatch")
+        ann = annihilator(v).rows
+        for w in v.rows:
+            for f in ann:
+                rows.append([fi * wj for fi in f for wj in w])
+    return _kernel_of_rows(rows, r * r)
+
+
+def reference_filtered_endos(v) -> Subspace:
+    """The algebra of ``filtered_endos`` from every distinct proper step of every ray."""
+    steps = dict.fromkeys(
+        sub for filt in v.filts for _, sub in filt.steps if 0 < sub.dim < v.r
+    )
+    return solve_mat_constraints(steps, v.r)
+
+
 def ref_coords(alg, target):
     """The coordinates of ``target`` in the algebra's basis, by one linear solve."""
     cols = transpose(Mat([b.vectorize() for b in alg.basis], ncols=alg.bundle.r ** 2))
@@ -363,3 +400,17 @@ def extreme_rays(ineqs, n: int) -> list[tuple[Fraction, ...]]:
 def normalize_ray(v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     lead = next(a for a in v if a != 0)
     return tuple(a / abs(lead) for a in v)
+
+
+# --------------------------------------------------------------------------
+# co-Higgs fields
+
+def all_cones_integrability(field) -> IntegrabilityVerdict:
+    """Commute the integer chart matrices of every maximal cone, in fan order."""
+    for idx, sigma in enumerate(field.bundle.fan.max_cones):
+        _, _, charts = _integer_charts(field, sigma)
+        for k in range(len(charts)):
+            for l in range(k + 1, len(charts)):
+                if not _integer_commute(charts[k], charts[l]):
+                    return IntegrabilityVerdict(False, (idx, k, l))
+    return IntegrabilityVerdict(True)

@@ -622,6 +622,39 @@ def test_example_dim_100_is_allowed(tmp_path, run_cli, monkeypatch):
     assert Path(r.stdout.strip()).name == "tangent_pn100.bundle.json"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["tangent", "--variety", "p1xp1", "--dim", "-5"], "--variety p1xp1 ignores --dim"),
+    (["canonical", "--variety", "p1xp2", "--dim", "2"], "--variety p1xp2 ignores --dim"),
+    (["tangent", "--a", "1"], "example tangent ignores --a"),
+    (["canonical", "--variety", "pn", "--a", "0"], "example canonical ignores --a"),
+    (["hirzebruch", "--variety", "pn"], "example hirzebruch ignores --variety"),
+    (["hirzebruch", "--a", "1", "--dim", "2"], "example hirzebruch ignores --dim"),
+    (["three-lines", "--variety", "p1xp1"], "example three-lines ignores --variety"),
+    (["three-lines", "--dim", "3"], "example three-lines ignores --dim"),
+    (["three-lines", "--a", "0"], "example three-lines ignores --a"),
+])
+def test_example_refuses_an_option_its_kind_ignores(tmp_path, run_cli, args, message):
+    r = run_cli(["example", *args], tmp_path)
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind, spelled", [
+    ("tangent", ["--variety", "pn", "--dim", "2"]),
+    ("canonical", ["--variety", "pn", "--dim", "2"]),
+    ("tangent", ["--dim", "2"]),
+    ("hirzebruch", ["--a", "0"]),
+])
+def test_example_defaults_write_the_bytes_of_the_spelled_out_options(tmp_path, make_fixture,
+                                                                     kind, spelled):
+    (tmp_path / "default").mkdir()
+    (tmp_path / "spelled").mkdir()
+    default = make_fixture([kind], tmp_path / "default")
+    explicit = make_fixture([kind, *spelled], tmp_path / "spelled")
+    assert default.name == explicit.name
+    assert default.read_bytes() == explicit.read_bytes()
+
+
 def test_check_report_ignores_the_old_oracle_limit_env(tmp_path, run_cli, monkeypatch):
     # rank 5 incompatible data, once reported indeterminate under a rank cap
     # set by TVB_ORACLE_LIMIT: the verdict is decided whatever the variable says

@@ -29,7 +29,7 @@ from toric_cohiggs.fans import dual_basis
 from toric_cohiggs.linalg import solve_linear
 
 from conftest import random_bundle, random_matrix, standard_cone_fan
-from reference import commutator, mat_neg, transpose
+from reference import all_cones_integrability, commutator, mat_neg, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +255,7 @@ def test_commuting_tuple_passes_every_chart(bundle_zoo):
     for v in bundle_zoo.values():
         field = field_from_vector_field(v, list(range(1, v.fan.n + 1)))
         assert verify_integrability(field).valid
+        assert verify_integrability(field) == all_cones_integrability(field)
 
 
 def test_shear_pair_fails_on_standard_chart():
@@ -270,6 +271,7 @@ def test_shear_pair_fails_on_standard_chart():
     verdict = verify_integrability(field)
     assert not verdict.valid
     assert verdict.first_failure == (0, 0, 1)
+    assert verdict == all_cones_integrability(field)
 
 
 def test_integrability_agrees_with_direct_commutation():
@@ -283,6 +285,23 @@ def test_integrability_agrees_with_direct_commutation():
         field = ToricCoHiggsField(v, tuple(mats))
         direct = validate_field(field)
         assert verify_integrability(field).valid == direct.commutation_ok
+        assert verify_integrability(field) == all_cones_integrability(field)
+
+
+@pytest.mark.parametrize("fan", [fan_pn(3), fan_product(fan_pn(1), fan_pn(2)), fan_hirzebruch(2)],
+                         ids=["P^3", "P^1 x P^2", "F_2"])
+def test_only_failing_commutator_in_the_last_slot_fails_on_cone_0(fan):
+    # the earlier slots commute with everything but the last one: a scalar, then
+    # diag(1, 0); the last slot is the shear E_01, and [diag(1, 0), E_01] = E_01
+    n = fan.n
+    v = TVB(fan, 2, tuple(Filtration(2, [(0, Subspace.zero(2))]) for _ in fan.rays))
+    mats = [Mat.identity(2).scale(3)] * (n - 2)
+    mats += [Mat([[1, 0], [0, 0]]), Mat.elementary(2, 2, 0, 1)]
+    field = ToricCoHiggsField(v, tuple(mats))
+    assert validate_field(field).commutator_violations == ((n - 2, n - 1),)
+    verdict = verify_integrability(field)
+    assert not verdict.valid and verdict.first_failure[0] == 0
+    assert verdict == all_cones_integrability(field)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 ``commutes`` and ``preserves`` decide commutation and invariance on the
 integer forms of the matrices, and ``verify_integrability`` commutes integer
-chart matrices.  The ``reference_*`` functions below are the Fraction-product
-versions those replaced, kept in the tests only as references:
+chart matrices of one cone; ``reference.all_cones_integrability`` commutes
+them on every cone, as ``verify_integrability`` did before.  The
+``reference_*`` functions below are the Fraction-product versions those
+replaced, kept in the tests only as references:
 ``commutator(a, b).is_zero()`` and ``mul_vec`` + ``contains_vector`` (both
 from ``reference``), and chart matrices summed from ``Mat.scale``.  The
 predicates are compared on matrices with non-integer rationals, negative
@@ -45,7 +47,7 @@ from toric_cohiggs import (
 from toric_cohiggs.fans import dual_basis
 
 from conftest import random_bundle
-from reference import commutator, mul_vec, only_fractions, transpose
+from reference import all_cones_integrability, commutator, mul_vec, only_fractions, transpose
 
 # --------------------------------------------------------------------------
 # the Fraction-product references
@@ -270,6 +272,7 @@ def test_verdicts_and_charts_match_reference_on_random_bundles(fan_name):
         assert verdict == reference_validate_field(v, mats)
         integrability = verify_integrability(field)
         assert integrability == reference_verify_integrability(field)
+        assert integrability == all_cones_integrability(field)
         assert integrability.valid == verdict.commutation_ok
         for sigma in fan.max_cones:
             got, want = chart_expansion(field, sigma), reference_chart_expansion(field, sigma)

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as Q
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -20,10 +21,9 @@ from toric_cohiggs import (
     kernel,
     rat_from_str,
     rat_str,
-    solve_mat_constraints,
     subspace_sum,
 )
-from toric_cohiggs.linalg import _rref_rows, annihilator, solve_linear
+from toric_cohiggs.linalg import _integer_inverse, _rref_rows, annihilator, solve_linear
 
 from conftest import (
     random_invertible,
@@ -31,7 +31,7 @@ from conftest import (
     random_subspace,
     random_subspace_inside,
 )
-from reference import mul_vec
+from reference import mul_vec, solve_mat_constraints
 
 small_entries = st.integers(min_value=-6, max_value=6)
 
@@ -242,8 +242,22 @@ def test_annihilator_pairs_to_zero():
             assert sum(a * b for a, b in zip(f, v)) == 0
 
 
+def test_integer_inverse_is_the_least_integral_multiple_of_the_inverse():
+    rng = random.Random(61)
+    assert _integer_inverse([]) == (1, [])
+    for _ in range(60):
+        r = rng.randint(1, 5)
+        rows = [[int(x) for x in row] for row in random_invertible(rng, r).rows]
+        den, inv = _integer_inverse(rows)
+        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in rows]
+        assert product == [[den * (i == j) for j in range(r)] for i in range(r)]
+        assert den > 0 and gcd(den, *(x for row in inv for x in row)) == 1
+    with pytest.raises(ValueError, match="singular"):
+        _integer_inverse([[1, 2], [2, 4]])
+
+
 # ---------------------------------------------------------------------------
-# the matrix constraint solver
+# the matrix constraint solver that filtered_endos replaced, kept in reference.py
 
 def _matrices(space, r):
     return [Mat.from_vec(v, r, r) for v in space.basis]

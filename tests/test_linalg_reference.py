@@ -39,11 +39,10 @@ from toric_cohiggs.linalg import (
     kernel,
     rat_from_str,
     rat_str,
-    solve_mat_constraints,
     subspace_sum,
 )
 
-from reference import only_fractions, reference_rref_rows
+from reference import only_fractions, reference_rref_rows, solve_mat_constraints
 
 
 def primitive_row(row):

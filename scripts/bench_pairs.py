@@ -17,10 +17,6 @@ metrics instead.  A traced run takes its layer times from one pass, so one
 descheduled operation can move a layer several times over; the median over
 runs of each side is the number to compare.
 
-With ``--gc-disable`` every run goes through a ``runpy`` wrapper that calls
-``gc.disable()`` before it runs ``bench/run.py``, so the op-level metrics do
-not follow where the cyclic collector's runs land among the operations.
-
 ``serialize.bytes_out`` counts the input path that each report carries, so
 the two checkouts must sit at absolute paths of equal length; the script
 refuses any other pair.
@@ -28,7 +24,7 @@ refuses any other pair.
 The summary is printed to stdout as JSON; progress goes to stderr.
 
 Usage: python3 scripts/bench_pairs.py PARENT CHANGE --workload check_ladder \\
-           --seed 6022 --pairs 10 --seconds 40 [--trace 1] [--gc-disable] > pairs.json
+           --seed 6022 --pairs 10 --seconds 40 [--trace 1] > pairs.json
 """
 
 from __future__ import annotations
@@ -39,15 +35,6 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-
-# Runs argv[1] as __main__ with the collector off, as ``python3 argv[1] ...`` would
-# run it: the script's directory first on sys.path and its arguments in sys.argv.
-GC_DISABLED = (
-    "import gc, os, runpy, sys; gc.disable(); sys.argv.pop(0); "
-    "sys.path[0] = os.path.dirname(os.path.abspath(sys.argv[0])); "
-    "runpy.run_path(sys.argv[0], run_name='__main__')"
-)
 
 
 def directions(checkout: Path, trace: int = 0) -> dict[str, str]:
@@ -63,11 +50,9 @@ def sides_in_order(pair: int) -> tuple[str, str]:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
-             trace: int = 0, gc_disable: bool = False) -> dict[str, float]:
-    """The metrics of one benchmark run in ``checkout``: end-to-end, or per layer if
-    traced; with ``gc_disable``, run with the cyclic collector off."""
-    wrapper = ["-c", GC_DISABLED] if gc_disable else []
-    argv = [sys.executable, *wrapper, "bench/run.py", "--workload", workload, "--seed", str(seed),
+             trace: int = 0) -> dict[str, float]:
+    """The metrics of one benchmark run in ``checkout``: end-to-end, or per layer if traced."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.splitlines()[-1])
@@ -109,8 +94,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
                         help="1: summarize the per-layer metrics of traced runs")
-    parser.add_argument("--gc-disable", action="store_true",
-                        help="run every benchmark with gc.disable() called first")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("need at least 2 pairs for quartiles")
@@ -122,7 +105,7 @@ def main(argv=None) -> int:
     for pair in range(1, args.pairs + 1):
         for side in sides_in_order(pair):
             metrics = run_once(getattr(args, side), args.workload, args.seed, args.seconds,
-                               args.trace, args.gc_disable)
+                               args.trace)
             runs[side].append(metrics)
             print(f"pair {pair} {side} {shown} {metrics[shown]:.4f}", file=sys.stderr,
                   flush=True)

@@ -192,11 +192,16 @@ def _adapted_basis(v: TVB, pair: tuple[int, ...]) -> tuple[list, list | None]:
     levels = [[0] * len(pair) for _ in range(v.r)]
     for k, ray in enumerate(pair):
         for _, sub in v.filts[ray].steps:
-            if any(row.count(0) != v.r - 1 for row in sub.rows):
+            if not _unit_spanned(sub):
                 return _piece_basis(v, pair)
             for p in sub.pivots:
                 levels[p][k] += 1
     return levels, None
+
+
+def _unit_spanned(sub: Subspace) -> bool:
+    """Whether the subspace is spanned by unit vectors: each canonical row has one nonzero."""
+    return all(row.count(0) == sub.ambient_dim - 1 for row in sub.rows)
 
 
 def _piece_basis(v: TVB, pair: tuple[int, ...]) -> tuple[list, list]:
@@ -221,7 +226,7 @@ def _solve_adapted(v: TVB, pair: tuple[int, ...], levels, basis) -> Subspace:
     ):
         if basis is not None:  # P⁻¹V
             sub = Subspace(r, [[sum(map(mul, c, w)) for c in columns] for w in sub.rows])
-        if all(row.count(0) == r - 1 for row in sub.rows):  # spanned by unit vectors
+        if _unit_spanned(sub):
             inside = set(sub.pivots)
             pinned.update(i * r + j for i in range(r) if i not in inside for j in inside)
         else:
@@ -234,7 +239,7 @@ def _solve_adapted(v: TVB, pair: tuple[int, ...], levels, basis) -> Subspace:
         row for sub in mixed for f in annihilator(sub).rows for w in sub.rows
         if any(row := [f[q // r] * w[q % r] for q in free])
     ]
-    if basis is None and not rows:  # the unit rows of the free entries
+    if basis is None and not rows:  # the unit rows of the free entries, faster than _lifted
         return Subspace._canonical(n, [[0] * q + [1] + [0] * (n - q - 1) for q in free], free)
     kern = _kernel_of_rows(rows, len(free)) if rows else Subspace.full(len(free))
     if basis is None:

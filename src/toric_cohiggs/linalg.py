@@ -362,11 +362,14 @@ class Subspace:
 
     @classmethod
     def _shared(cls, ambient_dim: int, dim: int) -> "Subspace":
-        """The span of Q^n's first dim unit vectors: immutable, so built once and shared."""
+        """The span of Q^n's first dim unit vectors: immutable, so built once and
+        shared.  The unit rows are already canonical, so nothing is eliminated."""
         got = _SHARED_SPACES.get((ambient_dim, dim))
         if got is None:
+            if ambient_dim < 0:
+                raise ValueError("negative ambient dimension")
             units = [[int(i == j) for j in range(ambient_dim)] for i in range(dim)]
-            got = _SHARED_SPACES[ambient_dim, dim] = cls(ambient_dim, units)
+            got = _SHARED_SPACES[ambient_dim, dim] = cls._canonical(ambient_dim, units, range(dim))
         return got
 
     @property

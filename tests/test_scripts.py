@@ -10,7 +10,6 @@ import importlib.util
 import json
 import re
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -198,56 +197,6 @@ def test_bench_pairs_passes_the_trace_flag_and_reads_the_layer_metrics(monkeypat
     assert calls[0][calls[0].index("--trace") + 1] == "1"
     script.run_once(ROOT, "classify_ladder", 5, 10.0)
     assert calls[1][calls[1].index("--trace") + 1] == "0"
-
-
-def test_bench_pairs_gc_disable_wraps_the_benchmark_in_runpy(monkeypatch):
-    script = load_script("bench_pairs")
-    calls = []
-
-    def fake_run(argv, cwd, **kwargs):
-        calls.append(argv)
-        result = {"correct": True, "metrics": {"wall_ref": {"value": 1.0, "unit": "ref"}}}
-        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(result) + "\n")
-
-    monkeypatch.setattr(script.subprocess, "run", fake_run)
-    script.run_once(ROOT, "classify_ladder", 5, 10.0, gc_disable=True)
-    script.run_once(ROOT, "classify_ladder", 5, 10.0)
-    wrapped, plain = calls
-    assert wrapped[1:3] == ["-c", script.GC_DISABLED] and wrapped[3:] == plain[1:]
-    assert plain[1] == "bench/run.py"
-
-
-def test_bench_pairs_gc_disable_runs_the_script_as_python_would(tmp_path):
-    script = load_script("bench_pairs")
-    (tmp_path / "bench").mkdir()
-    (tmp_path / "bench" / "sibling.py").write_text("VALUE = 7\n")
-    (tmp_path / "bench" / "probe.py").write_text(
-        "import gc, json, sys\nimport sibling\n"
-        "if __name__ == '__main__':\n"
-        "    print(json.dumps([gc.isenabled(), sys.argv, sibling.VALUE]))\n"
-        "    sys.exit(3)\n")
-    argv = ["bench/probe.py", "--seed", "5"]
-    runs = [subprocess.run([sys.executable, *wrapper, *argv], cwd=tmp_path, capture_output=True,
-                           text=True) for wrapper in (["-c", script.GC_DISABLED], [])]
-    assert [run.returncode for run in runs] == [3, 3], [run.stderr for run in runs]
-    assert [json.loads(run.stdout) for run in runs] == [[False, argv, 7], [True, argv, 7]]
-
-
-def test_bench_pairs_passes_gc_disable_to_every_run(monkeypatch, capsys):
-    script = load_script("bench_pairs")
-    names = script.directions(ROOT)
-    seen = []
-
-    def fake_run_once(checkout, workload, seed, seconds, trace, gc_disable):
-        seen.append(gc_disable)
-        return dict.fromkeys(names, 1.0)
-
-    monkeypatch.setattr(script, "run_once", fake_run_once)
-    args = [str(ROOT), str(ROOT), "--workload", "classify_ladder", "--seed", "1", "--pairs", "2"]
-    assert script.main(args + ["--gc-disable"]) == 0
-    assert script.main(args) == 0
-    assert seen == [True] * 4 + [False] * 4
-    capsys.readouterr()
 
 
 def test_cli_sweep_finds_no_difference_between_the_repo_and_itself(tmp_path, capsys):

@@ -6,7 +6,10 @@ Each verb has its bundle families, indexed by a size s:
 * ``check``, on P^s: the tangent bundle ``T`` and ``T+O(D0)`` = T ⊕ O(D_0).
   Both are compatible; each maximal cone's threshold grid has 2^s points, but
   the filtration values are nonzero only at the empty face and at single
-  rays, so the walk over the support grows polynomially in s.
+  rays, so the walk over the support grows polynomially in s.  And on P^2,
+  ``lines`` = O(0) ⊕ O(D) ⊕ … ⊕ O((k-1)D) with k = s and D = D_0 + D_1 + D_2:
+  every step is a coordinate subspace, so each cone, whose grid has k x k
+  points, is read off its steps.
 * ``classify``, on P^2 (classify_ladder's two families, at larger sizes k = s,
   and one generic family):
   ``O^k``, the trivial bundle of rank k, whose algebra is all of gl_k, so
@@ -71,6 +74,7 @@ FAMILIES = {
         "T": (lambda n: tangent_bundle(fan_pn(n)), None),
         "T+O(D0)": (lambda n: direct_sum(tangent_bundle(fan_pn(n)), line_bundle(fan_pn(n), {0: 1})),
                     None),
+        "lines": (lambda k: line_sum(range(k)), None),
     },
     "classify": {
         "O^k": (lambda k: line_sum([0] * k), lambda k: k * k),

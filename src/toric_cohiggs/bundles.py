@@ -9,7 +9,8 @@ the last subspace is zero.
 The compatibility check asks, cone by cone, for a character grading of Q^r
 that simultaneously reconstructs the filtrations of all the cone's rays
 (Klyachko 1990; Payne 2008).  It is decided by one walk over the support
-of F in the threshold grid and an integer count, complete at every rank.
+of F in the threshold grid and an integer count, complete at every rank; a
+cone whose steps are all coordinate subspaces is read off its steps.
 
 Definitions.  For a cone with rays 1..n, a grid point u has u_k a threshold
 of filt_k.  F(u) = ∩_k filt_k(u_k), and F_+(u) = Σ_k F(u + e_k) (a level one
@@ -49,6 +50,18 @@ ray by ray and, along each axis, stops at the first level where F of the
 prefix is zero: F only shrinks as a level rises, and a point with F = 0
 holds no piece (E_u ⊆ F(u)).  So it skips no piece on any cone, compatible
 or not, and the pieces, Σ m and the certificates are the full grid's.
+
+Coordinate cones.  When every step of every ray of a cone is spanned by unit
+vectors (a split bundle in its own basis, every rank-1 bundle), the pieces
+are read off the steps with no value table and no elimination.  Let lev_k(q)
+be the threshold of filt_k just past the steps that contain e_q.  At a
+threshold t, filt_k(t) is the step before t, so e_q ∈ filt_k(t) iff
+t ≤ lev_k(q), and filt_k(t) is the span of those e_q.  An intersection of
+coordinate subspaces is the span of the common unit vectors, so
+F(u) = span{e_q : lev(q) ≥ u}, and F_+(u) = span{e_q : lev(q) ≥ u,
+lev(q) ≠ u}.  ``complement_within`` keeps F(u)'s canonical rows, here unit
+vectors, whose pivots F_+(u) lacks: E_u = span{e_q : lev(q) = u}.  So
+Σ m = r, such a cone is always compatible, and its pieces are the walk's.
 """
 
 from __future__ import annotations
@@ -268,50 +281,86 @@ def _raised(key: tuple, ray: int, level: int) -> tuple:
     return key[:i] + ((ray, level),) + key[j:]
 
 
+def _unit_spanned(sub: Subspace) -> bool:
+    """Whether the subspace is spanned by unit vectors: each canonical row has one nonzero."""
+    return all(row.count(0) == sub.ambient_dim - 1 for row in sub.rows)
+
+
+def _coordinate_levels(v: TVB, rays: tuple[int, ...]) -> list[tuple[int, ...]] | None:
+    """Per unit vector e_q of Q^r, its levels on ``rays``, when every step of
+    those rays is spanned by unit vectors; otherwise None.  A level is the
+    threshold just past the steps that contain e_q (module docstring)."""
+    per_ray = []
+    for i in rays:
+        steps, counts = v.filts[i].steps, [0] * v.r
+        for _, sub in steps:
+            if not _unit_spanned(sub):
+                return None
+            for p in sub.pivots:
+                counts[p] += 1
+        per_ray.append([steps[c][0] for c in counts])
+    return list(zip(*per_ray)) if per_ray else [()] * v.r
+
+
 def _greedy_pieces(v: TVB, sigma: Cone) -> dict[tuple[int, ...], Subspace]:
     """The nonzero greedy pieces E_u of one cone, keyed by the grid point u.
 
-    Depth first, ray by ray; along an axis the walk stops at the first level
-    whose prefix value is zero, so it visits the support of F and nothing
-    else.  F_+ at a leaf sums the values one threshold up each axis.
+    On a coordinate cone, the unit vectors grouped by their levels, in
+    lexicographic order.  Otherwise the walk: depth first, ray by ray; along
+    an axis it stops at the first level whose prefix value is zero, so it
+    visits the support of F and nothing else.
     """
     rays = sigma.ray_indices
-    axes = [v.filts[i].thresholds for i in rays]
-    value = v._value
-    zero = Subspace.zero(v.r)
+    levels = _coordinate_levels(v, rays)
     pieces: dict[tuple[int, ...], Subspace] = {}
-
-    def leaf(levels: tuple[int, ...], key: tuple) -> None:
-        here = value(key)
-        ups = []
-        for k, lv in enumerate(levels):
-            axis = axes[k]
-            i = bisect_left(axis, lv + 1)  # filt_k(lv + 1) = filt_k(axis[i])
-            if i == len(axis):
-                continue  # past the last threshold filt_k is zero
-            up = value(_raised(key, rays[k], axis[i]))
-            if up.dim == here.dim:  # up ⊆ here, so up = here = F_+
-                return
-            ups.append(up)
-        above = subspace_sum(zero, *ups)
-        if above.dim < here.dim:
-            pieces[levels] = complement_within(above, here)
-
-    def descend(k: int, levels: tuple[int, ...], key: tuple) -> None:
-        if k == len(rays):
-            leaf(levels, key)
-            return
-        ray, axis = rays[k], axes[k]
-        descend(k + 1, levels + (axis[0],), key)  # the first threshold adds no pair
-        for level in axis[1:]:
-            sub = key + ((ray, level),)
-            if value(sub).is_zero():  # F shrinks along the axis: no piece from here on
-                break
-            descend(k + 1, levels + (level,), sub)
-
-    if not value(()).is_zero():
-        descend(0, (), ())
+    if levels is not None:
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for q, u in enumerate(levels):
+            groups.setdefault(u, []).append(q)
+        r = v.r
+        for u in sorted(groups):
+            units = [[0] * q + [1] + [0] * (r - q - 1) for q in groups[u]]
+            pieces[u] = Subspace._canonical(r, units, groups[u])
+    elif not v._value(()).is_zero():
+        _descend(v, rays, [v.filts[i].thresholds for i in rays], pieces, 0, (), ())
     return pieces
+
+
+def _descend(v: TVB, rays, axes, pieces: dict, k: int, levels: tuple, key: tuple) -> None:
+    """Walk the grid points that extend ``levels`` on rays k, k+1, ...: a
+    module function, so a walk leaves no reference cycle behind."""
+    if k == len(rays):
+        piece = _leaf(v, rays, axes, levels, key)
+        if piece is not None:
+            pieces[levels] = piece
+        return
+    ray, axis = rays[k], axes[k]
+    # the first threshold adds no pair to the key
+    _descend(v, rays, axes, pieces, k + 1, levels + (axis[0],), key)
+    for level in axis[1:]:
+        sub = key + ((ray, level),)
+        if v._value(sub).is_zero():  # F shrinks along the axis: no piece from here on
+            break
+        _descend(v, rays, axes, pieces, k + 1, levels + (level,), sub)
+
+
+def _leaf(v: TVB, rays, axes, levels: tuple, key: tuple) -> Subspace | None:
+    """E_u at the grid point u = ``levels``, or None when m(u) = 0.  F_+(u)
+    sums the values one threshold up each axis."""
+    value = v._value
+    here = value(key)
+    ups = []
+    for k, lv in enumerate(levels):
+        axis = axes[k]
+        i = bisect_left(axis, lv + 1)  # filt_k(lv + 1) = filt_k(axis[i])
+        if i == len(axis):
+            continue  # past the last threshold filt_k is zero
+        up = value(_raised(key, rays[k], axis[i]))
+        if up.dim == here.dim:  # up ⊆ here, so up = here = F_+
+            return None
+        ups.append(up)
+    above = subspace_sum(Subspace.zero(v.r), *ups)
+    return complement_within(above, here) if above.dim < here.dim else None
 
 
 def cone_grading(v: TVB, sigma: Cone) -> ConeGrading | Incompatible:

@@ -18,8 +18,9 @@ f_i w_j at the free entries only, f vanishing on P⁻¹V and w in it; a step
 spanned by unit vectors instead pins the entries (i ∉ V, j ∈ V) to 0.  The
 kernel maps back as A = P B P⁻¹ through ``Subspace(...)``.  When every step
 of a and b is spanned by unit vectors, as on a sum of line bundles, P is a
-permutation and B = A: each coordinate's levels are read off the steps, and
-the algebra's rows are written directly (unit rows when nothing but pins
+permutation and B = A: each coordinate's levels are read off the steps
+(``bundles._coordinate_levels``, which ``check`` reads too), and the
+algebra's rows are written directly (unit rows when nothing but pins
 constrains), with no walk, annihilator, product or elimination.
 
 The algebra is its canonical subspace of Q^(r²) (matrices vectorized
@@ -27,12 +28,14 @@ row-major), so an element's coordinates are its entries at the pivots; the
 basis element A_a is the primitive integer row R_a over its pivot entry d_a.
 One integer product table P_ab = R_a R_b at the pivots is computed per
 algebra from the rows' supports: an entry (i, j) of R_a meets only the rows
-R_b with a nonzero row j.  The nonzero differences P_ab - P_ba are listed
-once, and commutativity, the sparse commutator forms (per row, the nonzero
-(column, value) pairs) and the center all read that list.  The center is
-solved on the coordinates its single-entry equations do not pin to 0.  The
-``Mat``s and ``Fraction``s of ``basis`` and the forms are built on first
-use; reports are written from the integers (``serialize``).
+R_b with a nonzero row j.  The table is sparse: each nonzero product is its
+nonzero (k, P_ab[k]) pairs in ascending k, and a zero product is None.  The
+nonzero differences P_ab - P_ba are listed once, and commutativity, the
+sparse commutator forms (per row, the nonzero (column, value) pairs) and the
+center all read that list.  The center is solved on the coordinates its
+single-entry equations do not pin to 0.  The ``Mat``s and ``Fraction``s of
+``basis`` and the forms are built on first use; reports are written from
+the integers (``serialize``).
 
 The algebra is handled as a linear solution space, not as its unit group:
 invertibility is an open condition on top of the linear data and is reported,
@@ -46,7 +49,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import ge, mul
 
-from .bundles import TVB, _greedy_pieces
+from .bundles import TVB, _coordinate_levels, _greedy_pieces, _unit_spanned
 from .errors import InternalError
 from .fans import Cone
 # solve_linear and kernel are re-exported: the benchmark's trace wraps them here.
@@ -109,15 +112,16 @@ class FilteredEndAlgebra(Record):
         return Mat._trusted([out[i * r:(i + 1) * r] for i in range(r)], r)
 
     @cached_property
-    def products(self) -> tuple[tuple[tuple[int, ...] | None, ...], ...]:
-        """Entry (a, b) is R_a R_b at the pivots, or None when the product is zero.
+    def products(self) -> tuple[tuple[tuple[tuple[int, int], ...] | None, ...], ...]:
+        """Entry (a, b) is R_a R_b at the pivots, as its nonzero (k, value) pairs
+        in ascending k, or None when the product is zero.
 
         An entry x at (i, j) of R_a adds x times row j of R_b to row i of R_a R_b.
         The algebra is closed under products, so a product P outside the
         subspace, where L·P != sum_k P[p_k] (L / d_k) R_k, is an internal bug.
         """
         space, r, (_, big, scale) = self.space, self.bundle.r, self._scales
-        zero = (0,) * self.dim
+        coordinate = {p: k for k, p in enumerate(space.pivots)}
         support = [[(q, x) for q, x in enumerate(row) if x] for row in space.rows]
         meets = [[] for _ in range(r)]  # j -> (b, l, y) for each entry y = R_b[j][l] != 0
         for b, entries in enumerate(support):
@@ -131,28 +135,33 @@ class FilteredEndAlgebra(Record):
                 for b, l, y in meets[q % r]:
                     prod = sums.setdefault(b, {})
                     prod[base + l] = prod.get(base + l, 0) + x * y
-            line: list[tuple[int, ...] | None] = [None] * len(support)
+            line: list[tuple[tuple[int, int], ...] | None] = [None] * len(support)
             for b, prod in sums.items():
-                coords = tuple(map(prod.get, space.pivots, zero))
-                residue = {q: big * v for q, v in prod.items()}
-                for c, s, row in zip(coords, scale, support):
-                    if c:
-                        for q, x in row:
-                            residue[q] = residue.get(q, 0) - c * s * x
+                coords = sorted((coordinate[q], c) for q, c in prod.items()
+                                if c and q in coordinate)
+                residue = {q: big * c for q, c in prod.items()}
+                for k, c in coords:
+                    c *= scale[k]
+                    for q, x in support[k]:
+                        residue[q] = residue.get(q, 0) - c * x
                 if any(residue.values()):
                     raise InternalError("algebra basis is not closed under multiplication")
-                line[b] = coords if any(coords) else None
+                line[b] = tuple(coords) or None
             table.append(tuple(line))
         return tuple(table)
 
     @cached_property
     def differences(self) -> tuple[tuple[int, int, int, int], ...]:
         """(a, b, k, P_ab[k] - P_ba[k]) for b < a and each nonzero difference."""
-        p, zero = self.products, (0,) * self.dim
-        return tuple(
-            (a, b, k, x - y) for a in range(self.dim) for b in range(a) if p[a][b] != p[b][a]
-            for k, (x, y) in enumerate(zip(p[a][b] or zero, p[b][a] or zero)) if x != y
-        )
+        p, out = self.products, []
+        for a in range(self.dim):
+            for b in range(a):
+                if p[a][b] != p[b][a]:
+                    diff = dict(p[a][b] or ())
+                    for k, y in p[b][a] or ():
+                        diff[k] = diff.get(k, 0) - y
+                    out.extend((a, b, k, x) for k, x in sorted(diff.items()) if x)
+        return tuple(out)
 
     @cached_property
     def commutator_forms(self) -> tuple[SparseForm, ...]:
@@ -187,21 +196,10 @@ def filtered_endos(v: TVB) -> FilteredEndAlgebra:
 def _adapted_basis(v: TVB, pair: tuple[int, ...]) -> tuple[list, list | None]:
     """Per basis vector its levels on the rays of ``pair``, and the basis rows:
     None for the unit vectors when every step of those rays is spanned by
-    unit vectors (a level is then the number of steps holding the vector),
-    otherwise the greedy pieces' rows."""
-    levels = [[0] * len(pair) for _ in range(v.r)]
-    for k, ray in enumerate(pair):
-        for _, sub in v.filts[ray].steps:
-            if not _unit_spanned(sub):
-                return _piece_basis(v, pair)
-            for p in sub.pivots:
-                levels[p][k] += 1
-    return levels, None
-
-
-def _unit_spanned(sub: Subspace) -> bool:
-    """Whether the subspace is spanned by unit vectors: each canonical row has one nonzero."""
-    return all(row.count(0) == sub.ambient_dim - 1 for row in sub.rows)
+    unit vectors (``bundles._coordinate_levels``), otherwise the greedy
+    pieces' rows."""
+    levels = _coordinate_levels(v, pair)
+    return (levels, None) if levels is not None else _piece_basis(v, pair)
 
 
 def _piece_basis(v: TVB, pair: tuple[int, ...]) -> tuple[list, list]:
@@ -297,12 +295,15 @@ def center(alg: FilteredEndAlgebra) -> Subspace:
 def structure_constants(alg: FilteredEndAlgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
     """Tensor c with A_a · A_b = sum_k c[a][b][k] A_k: c[a][b][k] = P_ab[k] / (d_a d_b)."""
     dens = alg._scales[0]
-    zero = (_ZERO,) * alg.dim
+
+    def dense(prod, den: int) -> tuple[Fraction, ...]:
+        out = [_ZERO] * alg.dim
+        for k, e in prod or ():
+            out[k] = Fraction(e, den)
+        return tuple(out)
+
     return tuple(
-        tuple(
-            zero if prod is None else tuple(Fraction(e, da * db) if e else _ZERO for e in prod)
-            for prod, db in zip(line, dens)
-        )
+        tuple(dense(prod, da * db) for prod, db in zip(line, dens))
         for line, da in zip(alg.products, dens)
     )
 

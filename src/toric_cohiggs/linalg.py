@@ -334,7 +334,10 @@ class Subspace:
 
     def _store(self, ambient_dim: int, rows, pivots) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        # tuple() of a list takes an exact-size tuple from CPython's free
+        # lists; of a map it resizes one, and frees add to the lists until a
+        # full collection empties them
+        object.__setattr__(self, "rows", tuple([tuple(row) for row in rows]))
         object.__setattr__(self, "pivots", tuple(pivots))
         object.__setattr__(self, "_basis", None)
 

@@ -125,6 +125,23 @@ def random_bundle(rng: random.Random, fan: Fan, r: int) -> TVB:
     return TVB(fan, r, filts)
 
 
+def coordinate_filtration(rng: random.Random, r: int) -> Filtration:
+    """A random decreasing chain of coordinate subspaces, unit vectors in a random order."""
+    order = rng.sample(range(r), r)
+    dims = sorted(rng.sample(range(r), rng.randint(1, r)), reverse=True)
+    thresholds = sorted(rng.sample(range(-3, 4), len(dims)))
+    steps = [(j, Subspace(r, [[int(i == c) for i in range(r)] for c in order[:d]]))
+             for j, d in zip(thresholds, dims)]
+    return Filtration(r, steps)
+
+
+def coordinate_bundle(rng: random.Random, fan: Fan, r: int, generic_rays=()) -> TVB:
+    """Coordinate filtrations on every ray, except random ones on ``generic_rays``."""
+    filts = tuple(random_filtration(rng, r) if k in generic_rays else coordinate_filtration(rng, r)
+                  for k in range(len(fan.rays)))
+    return TVB(fan, r, filts)
+
+
 def random_matrix(rng: random.Random, r: int) -> Mat:
     return Mat([[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)])
 

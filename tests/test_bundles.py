@@ -28,7 +28,7 @@ from toric_cohiggs import (
     tensor_line,
 )
 from toric_cohiggs import bundles
-from toric_cohiggs.bundles import OracleVerdict, _greedy_pieces
+from toric_cohiggs.bundles import OracleVerdict, _coordinate_levels, _greedy_pieces
 from toric_cohiggs.fans import dual_basis
 
 from conftest import (
@@ -118,17 +118,22 @@ def test_walk_asks_for_no_level_below_first_threshold(monkeypatch):
 
 def test_walk_caches_threshold_grid_points_only():
     # a face key lists (ray, level) pairs with strictly increasing rays, each
-    # level a threshold of its ray above the first (the first adds no pair)
+    # level a threshold of its ray above the first (the first adds no pair);
+    # a coordinate cone is read off its steps and caches nothing
     rng = random.Random(4242)
+    walked = 0
     for _ in range(30):
         v = random_bundle(rng, fan_pn(2), rng.randint(1, 4))
         is_vector_bundle(v)
-        assert v._values
+        if any(_coordinate_levels(v, c.ray_indices) is None for c in v.fan.max_cones):
+            assert v._values
+            walked += 1
         for key in v._values:
             rays = [ray for ray, _ in key]
             assert rays == sorted(set(rays)), key
             for ray, level in key:
                 assert level in v.filts[ray].thresholds[1:], key
+    assert walked >= 10
 
 
 @pytest.mark.parametrize("n", range(2, 11))

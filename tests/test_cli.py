@@ -7,11 +7,14 @@ subprocess and puts that package's directory on the child's PYTHONPATH itself.
 
 from __future__ import annotations
 
+import gc
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -701,3 +704,33 @@ def test_example_respects_output_path(tmp_path, run_cli):
     assert r.returncode == 0
     assert Path(r.stdout.strip()) == target
     assert target.exists()
+
+
+def test_report_verbs_leave_no_cyclic_garbage(tmp_path, make_fixture):
+    """Whatever a verb builds is freed by reference counting when it returns,
+    so the cyclic collector finds nothing: the grading walk refers to itself
+    through no closure.  The inputs take the walk (T_{P^3}, the three lines,
+    F_2), the coordinate route (a line sum) and validate-field."""
+    save_json(tmp_path / "lines.bundle.json", bundle_to_obj(line_sum(fan_pn(2), [0, 1, 2])))
+    calls = [
+        ("check", make_fixture(["tangent", "--variety", "pn", "--dim", "3"], tmp_path)),
+        ("check", make_fixture(["three-lines"], tmp_path)),
+        ("classify", make_fixture(["hirzebruch", "--a", "2"], tmp_path)),
+        ("classify", tmp_path / "lines.bundle.json"),
+        ("check", tmp_path / "lines.bundle.json"),
+        ("validate-field", make_fixture(["canonical", "--variety", "pn", "--dim", "2"], tmp_path)),
+    ]
+
+    def run_all():
+        for verb, path in calls:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert cli.main([verb, str(path), "--format", "json"]) == 0
+
+    run_all()  # warm-up: the parser and the shared subspaces are built once
+    gc.collect()
+    gc.disable()
+    try:
+        run_all()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

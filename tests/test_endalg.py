@@ -124,7 +124,7 @@ def test_center_contains_scalars_on_random_bundles():
 def test_structure_constants_identity_algebra():
     alg = filtered_endos(tangent_bundle(fan_pn(2)))
     assert structure_constants(alg) == (((Q(1),),),)
-    assert alg.products == (((1,),),)
+    assert alg.products == ((((0, 1),),),)  # one entry, one (k, value) pair
 
 
 def test_structure_constants_diagonal_algebra():

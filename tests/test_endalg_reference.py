@@ -8,7 +8,8 @@ basis matrices: one ``solve_linear`` per coordinate vector, the center as the
 kernel of direct commutators with its elements combined from the basis,
 pairwise commutators for commutativity, and the tuple forms read from the
 coordinates of each commutator [A_a, A_b] (``reference.ref_forms``); the
-library's sparse forms are made dense before they are compared.  Its
+library's sparse forms and its sparse product table are made dense before
+they are compared.  Its
 products are dense sums over every pair (``reference.mat_mul``), independent
 of the library's sparse product and support filter.
 """
@@ -99,10 +100,29 @@ def dense_form(form, d):
     return Mat(rows, ncols=d)
 
 
+def dense_products(alg):
+    """The sparse product table (per entry, its nonzero (k, value) pairs, or
+    None) as the tensor c[a][b][k] = P_ab[k] / (d_a d_b)."""
+    dens = [row[p] for row, p in zip(alg.space.rows, alg.space.pivots)]
+    tensor = []
+    for line, da in zip(alg.products, dens):
+        out = []
+        for entry, db in zip(line, dens):
+            assert entry is None or entry, "a zero product is None"
+            ks = [k for k, _ in entry or ()]
+            assert ks == sorted(set(ks)), "coordinates must ascend without repeats"
+            assert all(x != 0 for _, x in entry or ()), "the table stores no zero"
+            coords = dict(entry or ())
+            out.append(tuple(Fraction(coords.get(k, 0), da * db) for k in range(alg.dim)))
+        tensor.append(tuple(out))
+    return tuple(tensor)
+
+
 def assert_matches_reference(v, n):
     alg = filtered_endos(v)
     r = v.r
     assert alg.basis == tuple(Mat.from_vec(b, r, r) for b in alg.space.basis)
+    assert dense_products(alg) == ref_tensor(alg)
     assert structure_constants(alg) == ref_tensor(alg)
     assert is_commutative(alg) == ref_is_commutative(alg)
     assert center_elements(alg) == ref_center(alg)

@@ -40,7 +40,7 @@ from toric_cohiggs import (
 )
 from toric_cohiggs.endalg import _adapted_basis, _piece_basis, _solve_adapted
 
-from conftest import random_bundle, random_filtration, random_invertible, standard_cone_fan
+from conftest import coordinate_bundle, random_bundle, random_invertible, standard_cone_fan
 from reference import line_sum, reference_filtered_endos
 
 FANS = {
@@ -76,22 +76,6 @@ def assert_routes_match(v: TVB) -> bool:
     if basis is None:
         assert_same_space(_solve_adapted(v, pair, levels, None), want)
     return basis is None
-
-
-def coordinate_filtration(rng: random.Random, r: int) -> Filtration:
-    """A random decreasing chain of coordinate subspaces, unit vectors in a random order."""
-    order = rng.sample(range(r), r)
-    dims = sorted(rng.sample(range(r), rng.randint(1, r)), reverse=True)
-    thresholds = sorted(rng.sample(range(-3, 4), len(dims)))
-    steps = [(j, Subspace(r, [[int(i == c) for i in range(r)] for c in order[:d]]))
-             for j, d in zip(thresholds, dims)]
-    return Filtration(r, steps)
-
-
-def coordinate_bundle(rng: random.Random, fan, r: int, generic_rays=()) -> TVB:
-    filts = tuple(random_filtration(rng, r) if k in generic_rays else coordinate_filtration(rng, r)
-                  for k in range(len(fan.rays)))
-    return TVB(fan, r, filts)
 
 
 @settings(max_examples=200, deadline=None)

@@ -12,12 +12,21 @@ order), the same verdicts, certificates that render the reference's wording
 oracle's search over support subsets (Rado's condition) runs at rank <= 4
 only, where it is affordable; at every rank the rebuild check decides the
 reference verdict.
+
+A cone whose steps are all coordinate subspaces is read off its steps, not
+walked.  On every such cone drawn, its pieces must be the forced walk's, in
+the walk's order, and the reference's, and every verdict must be the one the
+walk alone gives.  Chern numbers by localization
+(``reference.localized_chern_numbers``) check the characters of both routes
+with no walk.
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_cohiggs import (
     ConeGrading,
@@ -29,17 +38,29 @@ from toric_cohiggs import (
     cone_grading,
     direct_sum,
     fan_hirzebruch,
+    fan_point,
     fan_pn,
     fan_product,
     is_vector_bundle,
     line_bundle,
+    linalg,
     tangent_bundle,
 )
-from toric_cohiggs.bundles import OracleVerdict, _greedy_pieces
+from toric_cohiggs import bundles, cli, fans, serialize
+from toric_cohiggs.bundles import OracleVerdict, _coordinate_levels, _greedy_pieces
 from toric_cohiggs.fans import dual_basis
 
-from conftest import random_bundle, random_filtration, standard_cone_fan
-from reference import Values, fresh_full, pairwise_sum, reference_pieces, sum_above, value_at
+from conftest import coordinate_bundle, random_bundle, random_filtration, standard_cone_fan
+from reference import (
+    Values,
+    fresh_full,
+    line_sum,
+    localized_chern_numbers,
+    pairwise_sum,
+    reference_pieces,
+    sum_above,
+    value_at,
+)
 
 RADO_SCAN_MAX_RANK = 4
 
@@ -274,3 +295,179 @@ def test_shared_table_matches_reference_on_multi_cone_fans(fan_name):
                         assert adapted_basis_oracle(v, fan.max_cones[i]) == oracles[i]
     # two filtrations always share an adapted basis, so surfaces never fail
     assert statuses == ({"compatible", "incompatible"} if fan.n >= 3 else {"compatible"})
+
+
+# ---------------------------------------------------------------------------
+# coordinate cones read off their steps, against the walk and the reference
+
+COMPLETE_FANS = {
+    "P^1": fan_pn(1),
+    "P^2": fan_pn(2),
+    "P^3": fan_pn(3),
+    "P^1 x P^1": fan_product(fan_pn(1), fan_pn(1)),
+    "P^1 x P^2": fan_product(fan_pn(1), fan_pn(2)),
+    "F_1": fan_hirzebruch(1),
+    "F_3": fan_hirzebruch(3),
+}
+ROUTE_FANS = {**COMPLETE_FANS, "standard 3-cone": standard_cone_fan(3), "point": fan_point()}
+KINDS = ("coordinate", "line sum", "trivial", "rank 1", "tangent")
+
+
+def twists(rng, fan):
+    return [rng.randint(-2, 2) for _ in fan.rays]
+
+
+def draw(rng, fan, r, kind):
+    """A bundle of ``kind``: every cone coordinate, except some of the tangent bundle's."""
+    if kind == "coordinate":
+        return coordinate_bundle(rng, fan, r)
+    if kind == "line sum":
+        return line_sum(fan, [twists(rng, fan) for _ in range(r)])
+    if kind == "trivial":
+        return line_sum(fan, [0] * r)
+    if kind == "rank 1":
+        return line_bundle(fan, twists(rng, fan))
+    return tangent_bundle(fan)
+
+
+def walked(call, *args):
+    """``call(*args)`` with the coordinate route switched off, so every cone is walked."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bundles, "_coordinate_levels", lambda v, rays: None)
+        return call(*args)
+
+
+def assert_coordinate_route(v) -> tuple[int, int]:
+    """Every coordinate cone's pieces are the walk's, in its order, and the
+    reference's; the verdict is the walk's.  Returns the numbers of
+    coordinate and of walked cones."""
+    coordinate = 0
+    for sigma in v.fan.max_cones:
+        if _coordinate_levels(v, sigma.ray_indices) is None:
+            continue
+        coordinate += 1
+        pieces = _greedy_pieces(v, sigma)
+        assert list(pieces.items()) == list(walked(_greedy_pieces, v, sigma).items())
+        assert pieces == reference_pieces([v.filts[i] for i in sigma.ray_indices], v.r)
+        assert sum(p.dim for p in pieces.values()) == v.r  # always compatible
+        assert isinstance(cone_grading(v, sigma), ConeGrading)
+    fresh = TVB(v.fan, v.r, v.filts)  # an empty value table for the walk alone
+    assert _verdict_tuple(is_vector_bundle(v)) == _verdict_tuple(walked(is_vector_bundle, fresh))
+    return coordinate, len(v.fan.max_cones) - coordinate
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(sorted(ROUTE_FANS)),
+       st.integers(1, 5), st.sampled_from(KINDS))
+def test_coordinate_route_matches_walk_and_reference(rng, fan_name, r, kind):
+    fan = ROUTE_FANS[fan_name]
+    coordinate, _ = assert_coordinate_route(draw(rng, fan, r, kind))
+    if kind != "tangent":
+        assert coordinate == len(fan.max_cones)
+
+
+def test_seeded_draws_cover_every_kind_and_mixed_cones():
+    rng = random.Random(27)
+    seen = {}
+    for trial in range(140):
+        fan_name = sorted(ROUTE_FANS)[trial % len(ROUTE_FANS)]
+        kind = KINDS[trial % len(KINDS)]
+        v = draw(rng, ROUTE_FANS[fan_name], rng.randint(1, 5), kind)
+        counts = assert_coordinate_route(v)
+        seen[kind] = [a + b for a, b in zip(seen.get(kind, (0, 0)), counts)]
+    assert all(coordinate >= 20 for coordinate, _ in seen.values()), seen
+    assert seen["tangent"][1] >= 10, seen  # T_{P^n}'s cones through the last ray are walked
+
+
+def test_check_of_a_line_sum_eliminates_nothing(tmp_path, monkeypatch):
+    """``check`` reads a line sum off its steps: no intersect, sum, complement
+    or elimination once the file is loaded and the fan validated."""
+    path = tmp_path / "lines.bundle.json"
+    serialize.save_json(path, serialize.bundle_to_obj(line_sum(fan_pn(2), [0, 1, 2, 3])))
+    v = serialize.load_bundle(path)
+    assert fans.validate_fan(v.fan).ok  # fills the fan's dual bases
+    calls = []
+    for module, name in [(bundles, "intersect"), (bundles, "subspace_sum"),
+                         (bundles, "complement_within"), (linalg, "_rref_rows"),
+                         (fans, "_rref_rows")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    monkeypatch.setattr(serialize, "load_bundle", lambda _: v)
+    assert cli.main(["check", str(path), "--format", "json"]) == 0
+    assert calls == []
+    assert v._values == {}
+
+
+# ---------------------------------------------------------------------------
+# Chern numbers by localization: the characters of either route, with no walk
+
+def generic_points(rng, fan, count=3):
+    """``count`` integer points that pair to nonzero with every dual basis vector."""
+    duals = [u for sigma in fan.max_cones for u in dual_basis(fan, sigma)]
+    points = []
+    while len(points) < count:
+        t = tuple(rng.randint(-60, 60) for _ in range(fan.n))
+        if all(sum(a * b for a, b in zip(u, t)) for u in duals):
+            points.append(t)
+    return points
+
+
+def chern_numbers(v, rng) -> tuple[int, ...]:
+    """The localized Chern numbers of v's gradings, which must be integers and
+    the same at three generic points."""
+    gradings = [g.multiplicities() for g in is_vector_bundle(v).gradings]
+    values = {localized_chern_numbers(v.fan, gradings, t) for t in generic_points(rng, v.fan)}
+    assert len(values) == 1, values
+    (numbers,) = values
+    assert all(x.denominator == 1 for x in numbers), numbers
+    return tuple(int(x) for x in numbers)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tangent_bundle_chern_numbers_of_projective_space(n):
+    v = tangent_bundle(fan_pn(n))
+    walked_cones = {_coordinate_levels(v, c.ray_indices) is None for c in v.fan.max_cones}
+    assert walked_cones == ({False} if n == 1 else {False, True})  # rank 1 is all coordinate
+    numbers = chern_numbers(v, random.Random(n))
+    assert numbers[0] == (n + 1) ** n  # c_1^n
+    assert numbers[-1] == n + 1  # c_n, the Euler characteristic
+
+
+def test_chern_numbers_of_tangent_p3_plus_o2():
+    """c(T ⊕ O(8H)) = (1 + H)^4 (1 + 8H) on P^3 (twist 2 on each of 4 rays)."""
+    fan = fan_pn(3)
+    v = direct_sum(tangent_bundle(fan), line_bundle(fan, 2))
+    assert chern_numbers(v, random.Random(3)) == (1728, 456, 52)
+
+
+@pytest.mark.parametrize("fan_name", sorted(COMPLETE_FANS))
+def test_localized_chern_numbers_are_integers_for_both_routes(fan_name):
+    """Integral and independent of the point on coordinate bundles, line sums,
+    trivial, rank-1 and tangent bundles (read off their steps, the tangent
+    bundles partly) and on compatible adapted bundles (walked)."""
+    fan, rng = COMPLETE_FANS[fan_name], random.Random(f"chern-{fan_name}")
+    for kind in KINDS:
+        chern_numbers(draw(rng, fan, rng.randint(1, 4), kind), rng)
+    walked_bundles = 0
+    for _ in range(4):
+        v = adapted_bundle(rng, fan, rng.randint(2, 4))
+        chern_numbers(v, rng)
+        walked_bundles += any(_coordinate_levels(v, c.ray_indices) is None for c in fan.max_cones)
+    assert walked_bundles >= 2
+    assert chern_numbers(line_sum(fan, [0, 0]), rng) == (0,) * fan.n
+
+
+def test_localization_catches_a_perturbed_character():
+    """Any character of T_{P^2} moved by a unit vector gives a non-integer, or
+    a sum that depends on the point."""
+    fan, rng = fan_pn(2), random.Random(14)
+    gradings = [g.multiplicities() for g in is_vector_bundle(tangent_bundle(fan)).gradings]
+    for cone, classes in enumerate(gradings):
+        for i, (u, m) in enumerate(classes):
+            for e in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+                bad = [list(c) for c in gradings]
+                bad[cone][i] = (tuple(a + b for a, b in zip(u, e)), m)
+                values = {localized_chern_numbers(fan, bad, t) for t in generic_points(rng, fan)}
+                assert len(values) > 1 or any(
+                    x.denominator != 1 for x in next(iter(values))), (cone, i, e)

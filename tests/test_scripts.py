@@ -39,7 +39,7 @@ def test_canonical_pair_experiment_runs_and_matches_golden(capsys):
 
 
 @pytest.mark.parametrize("verb, names, dim_h", [
-    ("check", ("T", "T+O(D0)"), (("-", "-"),) * 3),
+    ("check", ("T", "T+O(D0)", "lines"), (("-", "-", "-"),) * 3),
     ("classify", ("O^k", "O(0..k-1)", "generic"), ((4, 3, 1), (9, 6, 1), (16, 10, 1))),
 ], ids=["check", "classify"])
 def test_scale_runs_at_small_sizes(verb, names, dim_h, capsys):
@@ -66,6 +66,20 @@ def test_scale_runs_only_the_named_families(capsys):
         scale.main(["check", "--family", "generic"])
     assert exc.value.code == 2
     assert "no family 'generic' for check" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_scale_lines_family_is_read_off_its_steps(k):
+    from toric_cohiggs import is_vector_bundle
+    from toric_cohiggs.bundles import _coordinate_levels
+
+    bundle = load_script("scale").FAMILIES["check"]["lines"][0](k)
+    assert bundle.r == k
+    # O(tD) keeps e_t up to level t on every ray
+    assert all(_coordinate_levels(bundle, c.ray_indices) == [(t, t) for t in range(k)]
+               for c in bundle.fan.max_cones)
+    assert is_vector_bundle(bundle).compatible
+    assert bundle._values == {}  # no value table: nothing was walked
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])

@@ -200,7 +200,8 @@ def canonical_pair(fan: Fan) -> tuple[TVB, tuple[Mat, ...]]:
 
 
 class ClassificationReport(Record):
-    """Everything the classification computes for one bundle; its ``Mat``s are built on first use."""
+    """Everything the classification computes for one bundle; the basis ``Mat``s are
+    built on first use, and the center and the forms are written from integers."""
 
     rank: int
     n: int
@@ -219,12 +220,6 @@ class ClassificationReport(Record):
     @property
     def basis(self) -> tuple[Mat, ...]:
         return self.algebra.basis
-
-    @property
-    def center_basis(self) -> tuple[Mat, ...]:
-        """The center's elements y / y[p], one per coordinate row y with pivot p."""
-        cen = self.center
-        return tuple(self.algebra.element(y, y[p]) for y, p in zip(cen.rows, cen.pivots))
 
     @property
     def generators(self) -> tuple[tuple[Mat, ...], ...] | None:

@@ -31,11 +31,11 @@ algebra from the rows' supports: an entry (i, j) of R_a meets only the rows
 R_b with a nonzero row j.  The table is sparse: each nonzero product is its
 nonzero (k, P_ab[k]) pairs in ascending k, and a zero product is None.  The
 nonzero differences P_ab - P_ba are listed once, and commutativity, the
-sparse commutator forms (per row, the nonzero (column, value) pairs) and the
-center all read that list.  The center is solved on the coordinates its
-single-entry equations do not pin to 0.  The ``Mat``s and ``Fraction``s of
-``basis`` and the forms are built on first use; reports are written from
-the integers (``serialize``).
+center and the commutator forms B_k[a][b] = (P_ab[k] - P_ba[k]) / (d_a d_b)
+all read that list.  The center is solved on the coordinates its
+single-entry equations do not pin to 0.  The forms and the center's
+elements are written once, from the integers (``serialize``); only the
+``Mat``s of ``basis`` are built, on first use.
 
 The algebra is handled as a linear solution space, not as its unit group:
 invertibility is an open condition on top of the linear data and is reported,
@@ -66,9 +66,6 @@ from .linalg import (  # noqa: F401
 from .records import Record
 
 _ZERO = Fraction(0)
-
-# A bilinear form on coordinate vectors: per row, its nonzero (column, value) pairs.
-SparseForm = tuple[tuple[tuple[int, Fraction], ...], ...]
 
 
 class FilteredEndAlgebra(Record):
@@ -104,12 +101,6 @@ class FilteredEndAlgebra(Record):
                 f = c * s
                 acc = [u + f * x if x else u for u, x in zip(acc, row)]
         return acc
-
-    def element(self, coords, den: int = 1) -> Mat:
-        """The algebra element sum_b coords_b A_b / den, its combination over den·L."""
-        big, r = den * self._scales[1], self.bundle.r
-        out = [Fraction(u, big) if u else _ZERO for u in self.combination(coords)]
-        return Mat._trusted([out[i * r:(i + 1) * r] for i in range(r)], r)
 
     @cached_property
     def products(self) -> tuple[tuple[tuple[tuple[int, int], ...] | None, ...], ...]:
@@ -162,24 +153,6 @@ class FilteredEndAlgebra(Record):
                         diff[k] = diff.get(k, 0) - y
                     out.extend((a, b, k, x) for k, x in sorted(diff.items()) if x)
         return tuple(out)
-
-    @cached_property
-    def commutator_forms(self) -> tuple[SparseForm, ...]:
-        """The nonzero forms B_k with [x·A, y·A] = sum_k B_k(x, y) A_k, sparse.
-
-        B_k[a][b] = (P_ab[k] - P_ba[k]) / (d_a d_b), with P the product table;
-        row a of a form holds its nonzero (b, B_k[a][b]) in column order.
-        """
-        d, dens = self.dim, self._scales[0]
-        forms: dict[int, list[list[tuple[int, Fraction]]]] = {}
-        for a, b, k, diff in self.differences:  # a ascending, so columns ascend
-            rows = forms.get(k)
-            if rows is None:
-                rows = forms[k] = [[] for _ in range(d)]
-            f = Fraction(diff, dens[a] * dens[b])
-            rows[a].append((b, f))
-            rows[b].append((a, -f))
-        return tuple(tuple(map(tuple, forms[k])) for k in sorted(forms))
 
 
 def filtered_endos(v: TVB) -> FilteredEndAlgebra:
@@ -264,7 +237,7 @@ def is_commutative(alg: FilteredEndAlgebra) -> bool:
 def center(alg: FilteredEndAlgebra) -> Subspace:
     """{Z in the algebra : [Z, A] = 0 for every basis element A}, as its
     canonical subspace of algebra coordinates; row y with pivot p is the
-    element y / y[p] (``FilteredEndAlgebra.element``).
+    element sum_b y_b A_b / y[p].
 
     Coordinates x with sum_b B_k[a][b] x_b = 0 for all k, a: row (k, a) times
     d_a·L, L the lcm of the pivot entries, is (P_ab[k] - P_ba[k])·L/d_b over b,
@@ -315,17 +288,13 @@ class TupleVarietyEqs(Record):
     as [x·A, y·A] = sum_d B_d(x, y) A_d; the same forms B_d apply to every
     pair of tuple slots 1 <= j < k <= n.  Identically zero forms are dropped,
     so a commutative algebra yields no equations and the commuting tuples are
-    the full n·dim-parameter affine space.
+    the full n·dim-parameter affine space; n <= 1 has none either.  The forms
+    are read through ``serialize.tuple_eqs_to_obj``, from ``differences``.
     """
 
     n: int
     dim: int
     algebra: FilteredEndAlgebra
-
-    @property
-    def forms(self) -> tuple[SparseForm, ...]:
-        """Each dim x dim, one per surviving basis index; none when n <= 1."""
-        return self.algebra.commutator_forms if self.n > 1 else ()
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:

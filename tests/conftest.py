@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from fractions import Fraction as Q
@@ -19,19 +20,21 @@ from toric_cohiggs import (
     direct_sum,
     fan_hirzebruch,
     fan_pn,
+    fan_point,
     fan_product,
     line_bundle,
     tangent_bundle,
 )
 from toric_cohiggs.cli import three_lines_bundle  # noqa: F401  (re-exported to the tests)
 
-from reference import mul_vec
+from reference import mul_vec, ref_element
 
 
 def center_elements(alg) -> list[Mat]:
-    """``center(alg)`` as matrices: each coordinate row y over its pivot entry y[p]."""
+    """``center(alg)`` as matrices: each coordinate row y over its pivot entry
+    y[p], combined from the basis matrices (``reference.ref_element``)."""
     cen = center(alg)
-    return [alg.element(y, y[p]) for y, p in zip(cen.rows, cen.pivots)]
+    return [ref_element(alg, [Q(x, y[p]) for x in y]) for y, p in zip(cen.rows, cen.pivots)]
 
 
 def standard_cone_fan(n: int) -> Fan:
@@ -40,20 +43,28 @@ def standard_cone_fan(n: int) -> Fan:
     return Fan(n, rays, (Cone(tuple(range(n))),))
 
 
+# The one catalogue of the fans that the tests draw from: name -> builder.
+FAN_BUILDERS = {
+    "point": fan_point,
+    **{f"P^{n}": functools.partial(fan_pn, n) for n in range(1, 5)},
+    "P^1 x P^1": lambda: fan_product(fan_pn(1), fan_pn(1)),
+    "P^1 x P^2": lambda: fan_product(fan_pn(1), fan_pn(2)),
+    "P^1 x P^1 x P^1": lambda: fan_product(fan_product(fan_pn(1), fan_pn(1)), fan_pn(1)),
+    **{f"F_{a}": functools.partial(fan_hirzebruch, a) for a in range(4)},
+    **{f"standard {n}-cone": functools.partial(standard_cone_fan, n) for n in range(1, 4)},
+}
+
+
+def select_fans(names, keys=None) -> dict:
+    """The catalogue's fans of ``names``, in that order, under ``keys`` if given."""
+    return {key: FAN_BUILDERS[name]() for key, name in zip(keys or names, names)}
+
+
 @pytest.fixture(scope="session")
 def fan_zoo() -> dict:
-    return {
-        "pn1": fan_pn(1),
-        "pn2": fan_pn(2),
-        "pn3": fan_pn(3),
-        "pn4": fan_pn(4),
-        "p1xp1": fan_product(fan_pn(1), fan_pn(1)),
-        "p1xp2": fan_product(fan_pn(1), fan_pn(2)),
-        "hirz0": fan_hirzebruch(0),
-        "hirz1": fan_hirzebruch(1),
-        "hirz2": fan_hirzebruch(2),
-        "hirz3": fan_hirzebruch(3),
-    }
+    return select_fans(
+        ["P^1", "P^2", "P^3", "P^4", "P^1 x P^1", "P^1 x P^2", "F_0", "F_1", "F_2", "F_3"],
+        ["pn1", "pn2", "pn3", "pn4", "p1xp1", "p1xp2", "hirz0", "hirz1", "hirz2", "hirz3"])
 
 
 @pytest.fixture(scope="session")

@@ -14,13 +14,14 @@ They live in one module so that no ``test_*`` module imports another:
 - the grading walk of the whole threshold grid in a sorted order;
 - the endomorphism algebra as the kernel of every step's constraint rows in
   all r² unknowns (``solve_mat_constraints``), which the solve in the
-  adapted basis of two rays replaced; the algebra's coordinates and
-  commutator forms from direct commutators, and the sparse forms evaluated
-  on coordinate vectors;
+  adapted basis of two rays replaced; the algebra's coordinates, elements,
+  center and commutator forms from direct commutators, the forms a report
+  writes parsed back to ``Fraction``s, and dense forms evaluated on
+  coordinate vectors;
 - a subspace's report rows through its ``Fraction`` basis and ``rat_str``,
   and a classification report through the report's ``Mat`` accessors
-  (``mat_to_obj``) and its ``Fraction`` forms: the renderers that writing
-  from the integer rows and the difference list replaced;
+  (``mat_to_obj``) with the reference center and forms: the renderers that
+  writing from the integer rows and the difference list replaced;
 - the face check of a fan by extreme-ray enumeration: two maximal cones must
   meet in the cone on their shared rays (Cox-Little-Schenck, *Toric
   Varieties*, Lemma 1.2.13).  The library does not check this yet;
@@ -38,7 +39,7 @@ from fractions import Fraction
 from toric_cohiggs import direct_sum, line_bundle
 from toric_cohiggs.cohiggs import IntegrabilityVerdict, _integer_charts
 from toric_cohiggs.fans import dual_basis, pairing
-from toric_cohiggs.serialize import chern_to_obj, mat_to_obj
+from toric_cohiggs.serialize import chern_to_obj, mat_to_obj, tuple_eqs_to_obj
 from toric_cohiggs.linalg import (
     Mat,
     Subspace,
@@ -48,6 +49,7 @@ from toric_cohiggs.linalg import (
     complement_within,
     intersect,
     kernel,
+    rat_from_str,
     rat_str,
     solve_linear,
     subspace_sum,
@@ -106,27 +108,22 @@ def subspace_text(s: Subspace) -> list[list[str]]:
 
 
 def ref_tuple_eqs_obj(eqs) -> dict:
-    """The tuple equations with each sparse ``Fraction`` form made dense text."""
-    forms = []
-    for form in eqs.forms:
-        rows = [["0"] * eqs.dim for _ in range(eqs.dim)]
-        for a, row in enumerate(form):
-            for b, value in row:
-                rows[a][b] = rat_str(value)
-        forms.append(rows)
+    """The tuple equations with the reference forms (``ref_forms``) as text,
+    none when n <= 1."""
     return {
         "n": eqs.n,
         "dim": eqs.dim,
         "pairs": [list(p) for p in eqs.pairs],
-        "forms": forms,
+        "forms": [mat_to_obj(f) for f in ref_forms(eqs.algebra)] if eqs.n > 1 else [],
         "forms_note": "the same bilinear forms apply to every slot pair",
     }
 
 
 def ref_classification_obj(report) -> dict:
     """``serialize.classification_to_obj`` as it was written from the report's
-    ``Mat`` accessors: the basis, the center and the generators through
-    ``mat_to_obj``, and the forms through ``rat_str``."""
+    ``Mat`` accessors: the basis and the generators through ``mat_to_obj``,
+    and so the center (``ref_center``) and the forms (``ref_forms``)."""
+    center = ref_center(report.algebra)
     out = {
         "rank": report.rank,
         "n": report.n,
@@ -135,8 +132,8 @@ def ref_classification_obj(report) -> dict:
         "dim_h": report.dim_h,
         "basis": [mat_to_obj(m) for m in report.basis],
         "commutative": report.commutative,
-        "center": [mat_to_obj(m) for m in report.center_basis],
-        "center_dim": len(report.center_basis),
+        "center": [mat_to_obj(m) for m in center],
+        "center_dim": len(center),
         "notes": list(report.notes),
         "warnings": list(report.warnings),
     }
@@ -313,6 +310,34 @@ def ref_coords(alg, target):
     return coords
 
 
+def ref_element(alg, coords) -> Mat:
+    """sum_b coords_b A_b, entry by entry over the basis matrices."""
+    r = alg.bundle.r
+    return Mat(
+        [
+            [sum((c * b.rows[i][j] for c, b in zip(coords, alg.basis)), _ZERO)
+             for j in range(r)]
+            for i in range(r)
+        ],
+        ncols=r,
+    )
+
+
+def ref_center(alg) -> list[Mat]:
+    """The center's reduced basis, as the kernel of every commutator [A_b, A_a]
+    in the coordinates b, entry by entry."""
+    d, r = alg.dim, alg.bundle.r
+    if d == 0:
+        return []
+    rows = []
+    for a in alg.basis:
+        comms = [commutator(b, a).vectorize() for b in alg.basis]
+        for pos in range(r * r):
+            rows.append([comms[b][pos] for b in range(d)])
+    coords = kernel(Mat(rows, ncols=d)) if rows else Subspace.full(d)
+    return [ref_element(alg, x) for x in coords.basis]
+
+
 def ref_forms(alg):
     """The nonzero commutator forms, dense, from the coordinates of each [A_a, A_b]."""
     d = alg.dim
@@ -329,10 +354,17 @@ def ref_forms(alg):
     return tuple(f for f in forms if not f.is_zero())
 
 
+def rendered_forms(eqs) -> tuple[Mat, ...]:
+    """The forms that ``serialize.tuple_eqs_to_obj`` writes, parsed back to ``Fraction``s."""
+    return tuple(Mat([[rat_from_str(x) for x in row] for row in form], ncols=eqs.dim)
+                 for form in tuple_eqs_to_obj(eqs)["forms"])
+
+
 def form_values(forms, x, y) -> tuple[Fraction, ...]:
-    """B_k(x, y) for each sparse form (per row, its nonzero (column, value) pairs)."""
+    """B_k(x, y) = sum_ab x_a B_k[a][b] y_b for each dense form."""
     return tuple(
-        sum((x[a] * value * y[b] for a, row in enumerate(form) for b, value in row), _ZERO)
+        sum((x[a] * value * y[b] for a, row in enumerate(form.rows) for b, value in enumerate(row)),
+            _ZERO)
         for form in forms
     )
 

@@ -29,7 +29,14 @@ from toric_cohiggs.fans import dual_basis
 from toric_cohiggs.linalg import solve_linear
 
 from conftest import random_bundle, random_matrix, standard_cone_fan
-from reference import all_cones_integrability, commutator, mat_neg, transpose
+from reference import (
+    all_cones_integrability,
+    commutator,
+    mat_neg,
+    ref_forms,
+    rendered_forms,
+    transpose,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +379,7 @@ def test_classify_noncommutative_emits_equations():
     assert rep.parameters is None
     assert rep.generators is None
     assert rep.tuple_equations is not None
-    assert rep.tuple_equations.forms
+    assert rendered_forms(rep.tuple_equations) == ref_forms(rep.algebra) != ()
 
 
 def test_classify_incompatible_bundle_warns_and_proceeds():

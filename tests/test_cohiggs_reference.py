@@ -35,9 +35,6 @@ from toric_cohiggs import (
     ToricCoHiggsField,
     chart_expansion,
     commutes,
-    fan_hirzebruch,
-    fan_pn,
-    fan_product,
     filtered_endos,
     is_commutative,
     preserves,
@@ -46,7 +43,7 @@ from toric_cohiggs import (
 )
 from toric_cohiggs.fans import dual_basis
 
-from conftest import random_bundle
+from conftest import random_bundle, select_fans
 from reference import all_cones_integrability, commutator, mul_vec, only_fractions, transpose
 
 # --------------------------------------------------------------------------
@@ -214,12 +211,7 @@ def test_predicates_reject_shape_mismatch():
 # --------------------------------------------------------------------------
 # verdicts and chart expansions on seeded bundles
 
-FANS = {
-    "P^2": fan_pn(2),
-    "P^1 x P^2": fan_product(fan_pn(1), fan_pn(2)),
-    "P^3": fan_pn(3),
-    "F_2": fan_hirzebruch(2),
-}
+FANS = select_fans(["P^2", "P^1 x P^2", "P^3", "F_2"])
 
 
 def random_rational(rng: random.Random) -> Fraction:

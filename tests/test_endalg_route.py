@@ -30,29 +30,17 @@ from toric_cohiggs import (
     Filtration,
     Subspace,
     TVB,
-    fan_hirzebruch,
     fan_pn,
-    fan_point,
-    fan_product,
     filtered_endos,
     is_vector_bundle,
     linalg,
 )
 from toric_cohiggs.endalg import _adapted_basis, _piece_basis, _solve_adapted
 
-from conftest import coordinate_bundle, random_bundle, random_invertible, standard_cone_fan
+from conftest import coordinate_bundle, random_bundle, random_invertible, select_fans
 from reference import line_sum, reference_filtered_endos
 
-FANS = {
-    "P^1": fan_pn(1),
-    "P^2": fan_pn(2),
-    "P^3": fan_pn(3),
-    "P^1 x P^2": fan_product(fan_pn(1), fan_pn(2)),
-    "F_1": fan_hirzebruch(1),
-    "F_3": fan_hirzebruch(3),
-    "point": fan_point(),
-    "standard 3-cone": standard_cone_fan(3),
-}
+FANS = select_fans(["P^1", "P^2", "P^3", "P^1 x P^2", "F_1", "F_3", "point", "standard 3-cone"])
 
 
 def pair_of(v: TVB) -> tuple[int, ...]:

@@ -37,10 +37,7 @@ from toric_cohiggs import (
     adapted_basis_oracle,
     cone_grading,
     direct_sum,
-    fan_hirzebruch,
-    fan_point,
     fan_pn,
-    fan_product,
     is_vector_bundle,
     line_bundle,
     linalg,
@@ -50,7 +47,13 @@ from toric_cohiggs import bundles, cli, fans, serialize
 from toric_cohiggs.bundles import OracleVerdict, _coordinate_levels, _greedy_pieces
 from toric_cohiggs.fans import dual_basis
 
-from conftest import coordinate_bundle, random_bundle, random_filtration, standard_cone_fan
+from conftest import (
+    coordinate_bundle,
+    random_bundle,
+    random_filtration,
+    select_fans,
+    standard_cone_fan,
+)
 from reference import (
     Values,
     fresh_full,
@@ -251,13 +254,8 @@ def _verdict_tuple(verdict):
     return (verdict.status, verdict.cone_index, verdict.certificate, verdict.gradings)
 
 
-MULTI_CONE_FANS = {
-    "p2": fan_pn(2),
-    "p1xp2": fan_product(fan_pn(1), fan_pn(2)),
-    "p3": fan_pn(3),
-    "f2": fan_hirzebruch(2),
-    "p1^3": fan_product(fan_product(fan_pn(1), fan_pn(1)), fan_pn(1)),
-}
+MULTI_CONE_FANS = select_fans(["P^2", "P^1 x P^2", "P^3", "F_2", "P^1 x P^1 x P^1"],
+                              ["p2", "p1xp2", "p3", "f2", "p1^3"])
 
 
 @pytest.mark.parametrize("fan_name", sorted(MULTI_CONE_FANS))
@@ -300,16 +298,8 @@ def test_shared_table_matches_reference_on_multi_cone_fans(fan_name):
 # ---------------------------------------------------------------------------
 # coordinate cones read off their steps, against the walk and the reference
 
-COMPLETE_FANS = {
-    "P^1": fan_pn(1),
-    "P^2": fan_pn(2),
-    "P^3": fan_pn(3),
-    "P^1 x P^1": fan_product(fan_pn(1), fan_pn(1)),
-    "P^1 x P^2": fan_product(fan_pn(1), fan_pn(2)),
-    "F_1": fan_hirzebruch(1),
-    "F_3": fan_hirzebruch(3),
-}
-ROUTE_FANS = {**COMPLETE_FANS, "standard 3-cone": standard_cone_fan(3), "point": fan_point()}
+COMPLETE_FANS = select_fans(["P^1", "P^2", "P^3", "P^1 x P^1", "P^1 x P^2", "F_1", "F_3"])
+ROUTE_FANS = {**COMPLETE_FANS, **select_fans(["standard 3-cone", "point"])}
 KINDS = ("coordinate", "line sum", "trivial", "rank 1", "tangent")
 
 

@@ -235,6 +235,21 @@ def test_cli_sweep_finds_no_difference_between_the_repo_and_itself(tmp_path, cap
     assert out == "" and err == f"{len(calls)} calls, 0 differ\n"
 
 
+def test_reach_lists_what_no_verb_enters(tmp_path, capsys):
+    from toric_cohiggs import cli, tangent_bundle
+    from toric_cohiggs.cohiggs import ToricCoHiggsField, canonical_pair
+    from toric_cohiggs.serialize import bundle_to_obj, field_to_obj, save_json
+
+    save_json(tmp_path / "tangent.json", bundle_to_obj(tangent_bundle(cli.fan_pn(2))))
+    save_json(tmp_path / "canonical.json",
+              field_to_obj(ToricCoHiggsField(*canonical_pair(cli.fan_pn(1)))))
+    assert load_script("reach").main([str(tmp_path)]) == 0
+    names = capsys.readouterr().out.splitlines()
+    assert names == sorted(set(names))
+    assert {"endalg.structure_constants", "bundles.adapted_basis_oracle"} <= set(names)
+    assert {"cli.main", "bundles.cone_grading"}.isdisjoint(names)
+
+
 def test_cli_sweep_prints_each_call_that_differs(tmp_path, monkeypatch, capsys):
     script = load_script("cli_sweep")
     (tmp_path / "field.json").write_text(json.dumps({"tuple": []}))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bundle, standard_cone_fan
+from conftest import random_bundle, select_fans
 from reference import line_sum, ref_classification_obj, subspace_text
 from toric_cohiggs import (
     Mat,
@@ -333,13 +333,13 @@ def test_check_never_builds_a_fraction_basis(bundle_zoo, tmp_path, monkeypatch, 
 # classification and algebra reports from integers
 
 GOLDEN_BUNDLE = Path(__file__).parent / "golden" / "fractional_p1xp2" / "bundle.json"
-REPORT_FANS = (fan_pn(1), standard_cone_fan(1), fan_pn(2), standard_cone_fan(2),
-               fan_product(fan_pn(1), fan_pn(1)), standard_cone_fan(3))
+REPORT_FANS = tuple(select_fans(["P^1", "standard 1-cone", "P^2", "standard 2-cone",
+                                 "P^1 x P^1", "standard 3-cone"]).values())
 
 
 def assert_renders_as_the_mat_path(v):
     """The report written from integers is byte-equal to the one written from
-    the report's ``Mat`` accessors and ``Fraction`` forms."""
+    the report's ``Mat`` accessors and the reference center and forms."""
     report = classify(v)
     text = dumps_canonical(classification_to_obj(report))
     assert text == dumps_canonical(ref_classification_obj(report))
@@ -374,7 +374,7 @@ def test_rendered_reports_cover_scaled_rows_both_kinds_of_algebra_and_n_1():
 
 def test_golden_classification_renders_as_the_mat_path():
     report = assert_renders_as_the_mat_path(load_bundle(GOLDEN_BUNDLE))
-    assert not report.commutative and report.tuple_equations.forms
+    assert not report.commutative and classification_to_obj(report)["tuple_equations"]["forms"]
 
 
 def test_reports_share_one_zero_row_per_matrix_size():

@@ -21,16 +21,13 @@ from toric_cohiggs import (
     TVB,
     ToricCoHiggsField,
     direct_sum,
-    fan_hirzebruch,
-    fan_pn,
-    fan_product,
-    line_bundle,
     tangent_bundle,
 )
 from toric_cohiggs import cli, serialize
 from toric_cohiggs.serialize import dumps_canonical, scalar_json
 
-from conftest import random_bundle, random_matrix, standard_cone_fan
+from conftest import random_bundle, random_matrix, select_fans
+from reference import line_sum
 
 
 def ref_json(obj) -> str:
@@ -153,24 +150,15 @@ def test_int_lists_keep_their_bools_and_tuples():
 # sweep of CLI reports
 
 def _sweep_fans():
-    return [
-        fan_pn(1),
-        fan_pn(2),
-        fan_product(fan_pn(1), fan_pn(1)),
-        fan_hirzebruch(1),
-        standard_cone_fan(2),
-        standard_cone_fan(3),
-    ]
+    return list(select_fans(["P^1", "P^2", "P^1 x P^1", "F_1", "standard 2-cone",
+                             "standard 3-cone"]).values())
 
 
 def _sweep_bundle(rng: random.Random, fan) -> TVB:
     pick = rng.random()
     if pick < 0.6:
         return random_bundle(rng, fan, rng.randint(1, 4))
-    twists = [rng.randint(-1, 2) for _ in range(rng.randint(1, 4))]
-    v = line_bundle(fan, twists[0])
-    for t in twists[1:]:
-        v = direct_sum(v, line_bundle(fan, t))
+    v = line_sum(fan, [rng.randint(-1, 2) for _ in range(rng.randint(1, 4))])
     return direct_sum(v, tangent_bundle(fan)) if pick < 0.75 and fan.n <= 2 else v
 
 

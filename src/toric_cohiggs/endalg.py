@@ -212,7 +212,7 @@ def _solve_adapted(v: TVB, pair: tuple[int, ...], levels, basis) -> Subspace:
     ]
     if basis is None and not rows:  # the unit rows of the free entries, faster than _lifted
         return Subspace._canonical(n, [[0] * q + [1] + [0] * (n - q - 1) for q in free], free)
-    kern = _kernel_of_rows(rows, len(free)) if rows else Subspace.full(len(free))
+    kern = _kernel_of_rows(rows, len(free))
     if basis is None:
         return _lifted(kern, free, n)
     pt = list(zip(*basis))  # D·A = P B (D·P⁻¹), vectorized row-major
@@ -261,8 +261,7 @@ def center(alg: FilteredEndAlgebra) -> Subspace:
             rows[tuple((b, v // g) for b, v in eq)] = None
     free, zero = [b for b in range(d) if b not in pinned], (0,) * d
     system = [list(map(dict(eq).get, free, zero)) for eq in rows]
-    return _lifted(_kernel_of_rows(system, len(free)) if system else Subspace.full(len(free)),
-                   free, d)
+    return _lifted(_kernel_of_rows(system, len(free)), free, d)
 
 
 def structure_constants(alg: FilteredEndAlgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:

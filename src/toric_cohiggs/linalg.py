@@ -173,9 +173,6 @@ class Mat:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         return Mat._trusted(_product(self.rows, other.rows, other.ncols, _ZERO), other.ncols)
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for r in self.rows for a in r)
-
     def _integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(D, D·rows) with D the lcm of every entry's denominator, computed once."""
         if self._integer is None:
@@ -183,17 +180,6 @@ class Mat:
             rows = tuple(tuple(a.numerator * (den // a.denominator) for a in r) for r in self.rows)
             object.__setattr__(self, "_integer", (den, rows))
         return self._integer
-
-    def vectorize(self) -> Vec:
-        """Row-major flattening into Q^(nrows*ncols)."""
-        return tuple(a for r in self.rows for a in r)
-
-    @classmethod
-    def from_vec(cls, v: Sequence, nrows: int, ncols: int) -> "Mat":
-        v = as_vec(v)
-        if len(v) != nrows * ncols:
-            raise ValueError("vector length does not factor as nrows*ncols")
-        return cls._trusted([v[i * ncols:(i + 1) * ncols] for i in range(nrows)], ncols)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Mat) and self.ncols == other.ncols and self.rows == other.rows
@@ -407,12 +393,6 @@ class Subspace:
                 u = [d * x - f * y for x, y in zip(u, b)]
                 w *= d
         return u, w
-
-    def contains_vector(self, v: Sequence) -> bool:
-        u = _integer_row(tuple(v))
-        if len(u) != self.ambient_dim:
-            raise ValueError("ambient mismatch")
-        return not any(self._residue(u)[0])
 
     def contains(self, other: "Subspace") -> bool:
         self._same_ambient(other)

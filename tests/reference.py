@@ -4,10 +4,12 @@ Each function here is an independent, plainly written version of something
 the library computes faster, or a matrix operation that only the tests need.
 They live in one module so that no ``test_*`` module imports another:
 
-- dense ``Fraction`` matrix arithmetic over ``Mat.rows`` (products, sums,
-  negation, transpose, matrix-vector products and commutators), with no
-  zero skipping and no integer forms;
-- the ``Fraction`` Gauss-Jordan that integer elimination replaced;
+- dense ``Fraction`` matrix arithmetic over ``Mat.rows`` (products,
+  differences, negation, transpose, matrix-vector products, commutators,
+  the zero test, and the row-major flatten and reshape between r x r
+  matrices and Q^(r²)), with no zero skipping and no integer forms;
+- the ``Fraction`` Gauss-Jordan that integer elimination replaced, and
+  membership of a vector in a subspace by rank through it;
 - the strict checks of a normalized filtration, which the constructor once
   made on its input before it normalized raw steps itself, and the value of
   raw steps at a level, read off the unsorted list;
@@ -25,8 +27,9 @@ They live in one module so that no ``test_*`` module imports another:
 - the face check of a fan by extreme-ray enumeration: two maximal cones must
   meet in the cone on their shared rays (Cox-Little-Schenck, *Toric
   Varieties*, Lemma 1.2.13).  The library does not check this yet;
-- the chart commutation of a field on every maximal cone, which one cone's
-  charts replaced;
+- the chart matrices of a field summed entry by entry, and their
+  commutation on every maximal cone, which one cone's integer charts
+  replaced;
 - the Chern numbers of a grading by localization at the torus-fixed points,
   an oracle for the characters that needs no walk.
 """
@@ -37,13 +40,12 @@ import itertools
 from fractions import Fraction
 
 from toric_cohiggs import direct_sum, line_bundle
-from toric_cohiggs.cohiggs import IntegrabilityVerdict, _integer_charts
+from toric_cohiggs.cohiggs import ChartExpansion, IntegrabilityVerdict
 from toric_cohiggs.fans import dual_basis, pairing
 from toric_cohiggs.serialize import chern_to_obj, mat_to_obj, tuple_eqs_to_obj
 from toric_cohiggs.linalg import (
     Mat,
     Subspace,
-    _integer_commute,
     _kernel_of_rows,
     annihilator,
     complement_within,
@@ -97,6 +99,21 @@ def mul_vec(a: Mat, v) -> tuple[Fraction, ...]:
 
 def commutator(a: Mat, b: Mat) -> Mat:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def vectorize(a: Mat) -> tuple[Fraction, ...]:
+    """The entries of a, row-major: a vector of Q^(nrows*ncols)."""
+    return tuple(x for row in a.rows for x in row)
+
+
+def mat_from_vec(v, nrows: int, ncols: int) -> Mat:
+    """The nrows x ncols matrix whose row-major entries are v."""
+    assert len(v) == nrows * ncols, "length does not factor as nrows*ncols"
+    return Mat([v[i * ncols:(i + 1) * ncols] for i in range(nrows)], ncols=ncols)
+
+
+def is_zero_mat(a: Mat) -> bool:
+    return not any(vectorize(a))
 
 
 # --------------------------------------------------------------------------
@@ -177,6 +194,12 @@ def reference_rref_rows(rows):
         if lead == len(m):
             break
     return m, pivots
+
+
+def in_span(s: Subspace, v) -> bool:
+    """Whether v lies in s: v added to a basis of s leaves the rank at dim s."""
+    assert len(v) == s.ambient_dim, "ambient mismatch"
+    return len(reference_rref_rows([*s.basis, v])[1]) == s.dim
 
 
 # --------------------------------------------------------------------------
@@ -304,8 +327,8 @@ def reference_filtered_endos(v) -> Subspace:
 
 def ref_coords(alg, target):
     """The coordinates of ``target`` in the algebra's basis, by one linear solve."""
-    cols = transpose(Mat([b.vectorize() for b in alg.basis], ncols=alg.bundle.r ** 2))
-    coords = solve_linear(cols, target.vectorize())
+    cols = transpose(Mat([vectorize(b) for b in alg.basis], ncols=alg.bundle.r ** 2))
+    coords = solve_linear(cols, vectorize(target))
     assert coords is not None, "element outside the algebra"
     return coords
 
@@ -331,7 +354,7 @@ def ref_center(alg) -> list[Mat]:
         return []
     rows = []
     for a in alg.basis:
-        comms = [commutator(b, a).vectorize() for b in alg.basis]
+        comms = [vectorize(commutator(b, a)) for b in alg.basis]
         for pos in range(r * r):
             rows.append([comms[b][pos] for b in range(d)])
     coords = kernel(Mat(rows, ncols=d)) if rows else Subspace.full(d)
@@ -351,7 +374,7 @@ def ref_forms(alg):
         Mat([[comm[a][b][k] for b in range(d)] for a in range(d)], ncols=d)
         for k in range(d)
     ]
-    return tuple(f for f in forms if not f.is_zero())
+    return tuple(f for f in forms if not is_zero_mat(f))
 
 
 def rendered_forms(eqs) -> tuple[Mat, ...]:
@@ -439,13 +462,30 @@ def normalize_ray(v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 # --------------------------------------------------------------------------
 # co-Higgs fields
 
-def all_cones_integrability(field) -> IntegrabilityVerdict:
-    """Commute the integer chart matrices of every maximal cone, in fan order."""
+def reference_chart_expansion(field, sigma) -> ChartExpansion:
+    """The chart matrix sum_j u_j A_j for each vector u of sigma's dual basis,
+    summed entry by entry."""
+    r = field.bundle.r
+    terms = []
+    for u in dual_basis(field.bundle.fan, sigma):
+        m = Mat(
+            [
+                [sum((c * a.rows[i][j] for c, a in zip(u, field.mats)), _ZERO) for j in range(r)]
+                for i in range(r)
+            ],
+            ncols=r,
+        )
+        terms.append((u, m))
+    return ChartExpansion(sigma, tuple(terms))
+
+
+def reference_verify_integrability(field) -> IntegrabilityVerdict:
+    """Commute the dense chart matrices of every maximal cone, in fan order."""
     for idx, sigma in enumerate(field.bundle.fan.max_cones):
-        _, _, charts = _integer_charts(field, sigma)
-        for k in range(len(charts)):
-            for l in range(k + 1, len(charts)):
-                if not _integer_commute(charts[k], charts[l]):
+        mats = [m for _, m in reference_chart_expansion(field, sigma).terms]
+        for k in range(len(mats)):
+            for l in range(k + 1, len(mats)):
+                if not is_zero_mat(commutator(mats[k], mats[l])):
                     return IntegrabilityVerdict(False, (idx, k, l))
     return IntegrabilityVerdict(True)
 

@@ -20,7 +20,6 @@ from toric_cohiggs import (
     direct_sum,
     equivariant_chern_data,
     fan_pn,
-    fan_product,
     is_vector_bundle,
     line_bundle,
     subspace_sum,
@@ -39,10 +38,6 @@ from conftest import (
     three_lines_bundle,
 )
 from reference import assert_normalized, raw_reading, reference_pieces
-
-
-def _line(*coords):
-    return Subspace(len(coords[0]) if isinstance(coords[0], tuple) else len(coords), [coords])
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,12 @@ from toric_cohiggs.linalg import solve_linear
 
 from conftest import random_bundle, random_matrix, standard_cone_fan
 from reference import (
-    all_cones_integrability,
     commutator,
+    is_zero_mat,
+    mat_mul,
     mat_neg,
     ref_forms,
+    reference_verify_integrability,
     rendered_forms,
     transpose,
 )
@@ -140,7 +142,7 @@ def test_pn_valid_tuples_are_exactly_scalars():
             assert verdict.valid == (
                 scalars
                 and all(
-                    commutator(a, b).is_zero() for a in mats for b in mats
+                    is_zero_mat(commutator(a, b)) for a in mats for b in mats
                 )
             )
 
@@ -262,7 +264,7 @@ def test_commuting_tuple_passes_every_chart(bundle_zoo):
     for v in bundle_zoo.values():
         field = field_from_vector_field(v, list(range(1, v.fan.n + 1)))
         assert verify_integrability(field).valid
-        assert verify_integrability(field) == all_cones_integrability(field)
+        assert verify_integrability(field) == reference_verify_integrability(field)
 
 
 def test_shear_pair_fails_on_standard_chart():
@@ -278,7 +280,7 @@ def test_shear_pair_fails_on_standard_chart():
     verdict = verify_integrability(field)
     assert not verdict.valid
     assert verdict.first_failure == (0, 0, 1)
-    assert verdict == all_cones_integrability(field)
+    assert verdict == reference_verify_integrability(field)
 
 
 def test_integrability_agrees_with_direct_commutation():
@@ -292,7 +294,7 @@ def test_integrability_agrees_with_direct_commutation():
         field = ToricCoHiggsField(v, tuple(mats))
         direct = validate_field(field)
         assert verify_integrability(field).valid == direct.commutation_ok
-        assert verify_integrability(field) == all_cones_integrability(field)
+        assert verify_integrability(field) == reference_verify_integrability(field)
 
 
 @pytest.mark.parametrize("fan", [fan_pn(3), fan_product(fan_pn(1), fan_pn(2)), fan_hirzebruch(2)],
@@ -308,7 +310,7 @@ def test_only_failing_commutator_in_the_last_slot_fails_on_cone_0(fan):
     assert validate_field(field).commutator_violations == ((n - 2, n - 1),)
     verdict = verify_integrability(field)
     assert not verdict.valid and verdict.first_failure[0] == 0
-    assert verdict == all_cones_integrability(field)
+    assert verdict == reference_verify_integrability(field)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +321,8 @@ def test_canonical_tuple_products_vanish(fan_zoo):
         _, mats = canonical_pair(fan_zoo[key])
         for a in mats:
             for b in mats:
-                assert (a @ b).is_zero()
-            assert (a @ a).is_zero()
+                assert is_zero_mat(mat_mul(a, b))
+            assert is_zero_mat(mat_mul(a, a))
 
 
 def test_canonical_bundle_shape():

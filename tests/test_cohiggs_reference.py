@@ -2,12 +2,14 @@
 
 ``commutes`` and ``preserves`` decide commutation and invariance on the
 integer forms of the matrices, and ``verify_integrability`` commutes integer
-chart matrices of one cone; ``reference.all_cones_integrability`` commutes
-them on every cone, as ``verify_integrability`` did before.  The
-``reference_*`` functions below are the Fraction-product versions those
-replaced, kept in the tests only as references:
-``commutator(a, b).is_zero()`` and ``mul_vec`` + ``contains_vector`` (both
-from ``reference``), and chart matrices summed from ``Mat.scale``.  The
+chart matrices of one cone.  The ``reference_*`` functions below, and
+``reference.reference_verify_integrability``, which commutes the charts of
+every cone as ``verify_integrability`` did before, are the Fraction-product
+versions those replaced, kept in the tests only as references: dense
+commutators tested with ``is_zero_mat``, ``mul_vec`` + ``in_span``
+(membership by rank through the Fraction elimination), and chart matrices
+summed entry by entry (``reference.reference_chart_expansion``).  None of
+them uses the integer residues, charts or products of the library.  The
 predicates are compared on matrices with non-integer rationals, negative
 entries, zero rows and columns and rank one, against zero, full, invariant
 and nested subspaces.  The verdicts and chart expansions are compared on
@@ -27,9 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toric_cohiggs import (
-    ChartExpansion,
     FieldVerdict,
-    IntegrabilityVerdict,
     Mat,
     Subspace,
     ToricCoHiggsField,
@@ -41,21 +41,29 @@ from toric_cohiggs import (
     validate_field,
     verify_integrability,
 )
-from toric_cohiggs.fans import dual_basis
 
 from conftest import random_bundle, select_fans
-from reference import all_cones_integrability, commutator, mul_vec, only_fractions, transpose
+from reference import (
+    commutator,
+    in_span,
+    is_zero_mat,
+    mul_vec,
+    only_fractions,
+    reference_chart_expansion,
+    reference_verify_integrability,
+    transpose,
+)
 
 # --------------------------------------------------------------------------
 # the Fraction-product references
 
 
 def reference_commutes(a: Mat, b: Mat) -> bool:
-    return commutator(a, b).is_zero()
+    return is_zero_mat(commutator(a, b))
 
 
 def reference_preserves(a: Mat, s: Subspace) -> bool:
-    return all(s.contains_vector(mul_vec(a, w)) for w in s.basis)
+    return all(in_span(s, mul_vec(a, w)) for w in s.basis)
 
 
 def reference_validate_field(v, mats) -> FieldVerdict:
@@ -66,36 +74,14 @@ def reference_validate_field(v, mats) -> FieldVerdict:
             for j, sub in filt.steps:
                 if sub.dim in (0, v.r):
                     continue
-                if any(not sub.contains_vector(mul_vec(a, w)) for w in sub.basis):
+                if any(not in_span(sub, mul_vec(a, w)) for w in sub.basis):
                     filt_bad.append((slot, ray_idx, j))
     comm_bad = []
     for i in range(n):
         for j in range(i + 1, n):
-            if not commutator(mats[i], mats[j]).is_zero():
+            if not is_zero_mat(commutator(mats[i], mats[j])):
                 comm_bad.append((i, j))
     return FieldVerdict(not filt_bad and not comm_bad, tuple(filt_bad), tuple(comm_bad))
-
-
-def reference_chart_expansion(field, sigma) -> ChartExpansion:
-    r = field.bundle.r
-    terms = []
-    for u in dual_basis(field.bundle.fan, sigma):
-        m = Mat.zero(r, r)
-        for coeff, a in zip(u, field.mats):
-            if coeff:
-                m = m + a.scale(coeff)
-        terms.append((u, m))
-    return ChartExpansion(sigma, tuple(terms))
-
-
-def reference_verify_integrability(field) -> IntegrabilityVerdict:
-    for idx, sigma in enumerate(field.bundle.fan.max_cones):
-        mats = [m for _, m in reference_chart_expansion(field, sigma).terms]
-        for k in range(len(mats)):
-            for l in range(k + 1, len(mats)):
-                if not commutator(mats[k], mats[l]).is_zero():
-                    return IntegrabilityVerdict(False, (idx, k, l))
-    return IntegrabilityVerdict(True)
 
 
 # --------------------------------------------------------------------------
@@ -264,7 +250,6 @@ def test_verdicts_and_charts_match_reference_on_random_bundles(fan_name):
         assert verdict == reference_validate_field(v, mats)
         integrability = verify_integrability(field)
         assert integrability == reference_verify_integrability(field)
-        assert integrability == all_cones_integrability(field)
         assert integrability.valid == verdict.commutation_ok
         for sigma in fan.max_cones:
             got, want = chart_expansion(field, sigma), reference_chart_expansion(field, sigma)
